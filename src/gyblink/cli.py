@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -39,6 +40,7 @@ from .invariant import (
     trace_invariant,
 )
 from .operators import (
+    _SQ2,
     CATALOG_IDS,
     build_operator,
     check_outer_diagonal,
@@ -50,11 +52,19 @@ from .operators import (
 
 SCHEMA_VERSION = 1
 
-_SQ2 = np.sqrt(2.0)
 
-
-def _default_tolerance() -> float:
-    return float(os.environ.get("GYBLINK_TOLERANCE", "1e-9"))
+def _resolve_tolerance(args) -> None:
+    # --tolerance wins over GYBLINK_TOLERANCE; whichever is used must be finite
+    source, text = "--tolerance", args.tolerance
+    if text is None:
+        source, text = "GYBLINK_TOLERANCE", os.environ.get("GYBLINK_TOLERANCE", "1e-9")
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not math.isfinite(tol):
+        raise GybError(f"{source} must be a finite number, got {text!r}")
+    args.tolerance = tol
 
 
 def _dumps(payload) -> str:
@@ -221,6 +231,8 @@ def _random_word(rng, n_lo: int, n_hi: int, max_len: int):
 
 
 def cmd_suite(args) -> int:
+    if args.trials < 1:
+        raise GybError(f"--trials must be at least 1, got {args.trials}")
     names = [args.operator] if args.operator else list(CATALOG_IDS)
     for name in names:
         if name not in CATALOG_IDS:
@@ -263,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--tolerance",
             type=float,
-            default=_default_tolerance(),
+            default=None,
             help="absolute tolerance (default from GYBLINK_TOLERANCE or 1e-9)",
         )
         p.add_argument("--output", choices=("text", "json"), default="text")
@@ -296,6 +308,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _resolve_tolerance(args)
         return args.func(args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

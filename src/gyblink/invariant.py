@@ -21,9 +21,8 @@ import numpy as np
 from .braids import BraidWord, compose, conjugate, juxtapose, random_braid, stabilize, writhe
 from .enhancement import Enhancement, catalog_enhancement
 from .errors import GybError, ShapeError
+from .operators import _SQ2
 from .rep import make_context, trace_with_weight
-
-_SQ2 = np.sqrt(2.0)
 
 #: Unknot-normalization factors for the catalog enhancements that have one.
 P_FACTORS: dict[str, complex] = {
@@ -48,9 +47,13 @@ class InvariantResult:
 def trace_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> InvariantResult:
     """Evaluate the raw invariant of the closure of ``b``.
 
-    The weighted trace runs matrix-free over basis columns; cost grows
-    with the square of the representation dimension, which is capped
-    unless ``allow_large`` is set.
+    The weighted trace never forms the representation matrix. Small words
+    take the column sweep, whose cost grows with the square of the
+    representation dimension; wide words take a tensor-network contraction
+    plan, whose cost follows the plan's largest intermediate instead. The
+    plan breaks cost ties on fixed tensor ids, so values are deterministic
+    on either path. The dimension stays capped unless ``allow_large`` is
+    set.
     """
     ctx = make_context(s.op, b.strands, allow_large)
     blocks = None if s.mu_is_identity else [(s.mu, 1)] * ctx.factors

@@ -4,9 +4,23 @@ A braid on ``n`` strands acts on ``N`` factors of dimension ``d``, where
 ``N = k + m (n - 2)`` for ``n >= 2`` and ``N = k - m`` for the one-strand
 identity braid. Generator ``i`` applies the operator to the ``k``
 contiguous factors starting at ``m (i - 1) + 1``; inverse letters apply
-the cached inverse. The full representation matrix is never materialized:
-states are reshaped so the acted-on factors form one axis and the block
-is applied with a batched matrix product.
+the cached inverse. The full representation matrix is never materialized.
+
+The weighted trace of a closed braid has two evaluators, chosen per call
+from the word and the context alone:
+
+* the column sweep pushes every basis column through every letter. It
+  costs ``L d^k dim^2`` multiply-adds for ``L`` letters, so small words
+  (under ``SWEEP_GATE``) always take it.
+* the network path treats each letter and weight block as a tensor,
+  closes each factor's wire onto itself and contracts the network pairwise
+  in a greedy order. Its cost follows the plan's largest intermediates,
+  not ``dim^2``, so it reaches words on dozens of strands. It runs when
+  the plan needs fewer multiply-adds than the sweep.
+
+Both are deterministic: the sweep chunks columns in index order and the
+plan breaks cost ties on tensor ids, so one word always takes the same
+path with the same floating-point order.
 
 Word order: the first letter of a word acts first on states, so a word
 maps to the composition of its letters read right to left.
@@ -14,6 +28,8 @@ maps to the composition of its letters read right to left.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +45,14 @@ DIM_CAP = 2048
 #: Basis columns are processed in fixed chunks of this many vectors, in
 #: index order, so trace sums are reproducible run to run.
 TRACE_CHUNK = 1024
+
+#: Column-sweep cost, in multiply-adds, below which a trace never plans a
+#: network: planning and per-step overhead, tens of microseconds per tensor,
+#: outweigh the sweep on small words. Measured on a 2-CPU x86-64 host
+#: (median of 5 per word, 264 words), the network was faster on 3 of 123
+#: words of cost under 2^18, 18 of 36 in [2^18, 2^20), 33 of 36 in
+#: [2^20, 2^22) (the three losses: 40 letters on 5 strands) and all 69 above.
+SWEEP_GATE = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,24 +132,8 @@ def dense_representation(ctx: RepContext, b: BraidWord) -> np.ndarray:
     return out
 
 
-def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, chunk: int = TRACE_CHUNK) -> complex:
-    """Trace of the represented braid composed with a product weight.
-
-    Args:
-        ctx: representation context matching ``b``.
-        b: braid word to represent.
-        blocks: optional sequence of ``(matrix, span)`` pairs laid out left
-            to right; their spans must cover all ``ctx.factors`` factors.
-            None means the identity weight. Blocks that equal the identity
-            are skipped.
-        chunk: basis-column chunk size; fixed chunking in index order keeps
-            the floating-point reduction deterministic.
-
-    Returns:
-        ``tr(rho(b) . W)`` where ``W`` is the Kronecker product of the blocks.
-    """
-    if b.strands != ctx.n:
-        raise ShapeError(f"braid has {b.strands} strands, context expects {ctx.n}")
+def _place_blocks(ctx: RepContext, blocks) -> list[tuple[np.ndarray, int, int]]:
+    # Validated ``(matrix, first factor, span)`` of every non-identity block.
     d = ctx.op.gtype.d
     placed = []
     if blocks is not None:
@@ -136,17 +144,163 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, chunk: int = T
             if mat.shape != (span_dim, span_dim):
                 raise ShapeError(f"weight block spanning {span} factors must be {span_dim}x{span_dim}")
             if not np.array_equal(mat, identity(span_dim)):
-                placed.append((mat, pos, span_dim))
+                placed.append((mat, pos, span))
             pos += span
         if pos - 1 != ctx.factors:
             raise ShapeError(f"weight blocks cover {pos - 1} factors, context has {ctx.factors}")
+    return placed
+
+
+def _sweep(ctx: RepContext, b: BraidWord, placed, chunk: int = TRACE_CHUNK) -> complex:
+    # Push every basis column through the weight blocks and the letters.
+    d = ctx.op.gtype.d
     total = 0.0 + 0.0j
     for c0 in range(0, ctx.dim, chunk):
         c1 = min(c0 + chunk, ctx.dim)
         state = np.eye(ctx.dim, c1 - c0, -c0, dtype=np.complex128)
-        for mat, pos, span_dim in placed:
-            state = _apply_block(mat, pos, span_dim, state, d)
+        for mat, pos, span in placed:
+            state = _apply_block(mat, pos, d**span, state, d)
         for g in b.letters:
             state = apply_letter(ctx, g, state)
         total += np.trace(state[c0:c1, :])
     return complex(total)
+
+
+def _network(ctx: RepContext, b: BraidWord, placed):
+    """The closed network of ``tr(rho(b) . W)``.
+
+    Returns ``(tensors, legs, loop_factor)``: one ``(d,)*2s`` tensor per
+    weight block and per letter in the order they act, output legs first;
+    the integer label of each tensor axis; and ``d`` to the number of
+    factors nothing acts on, each of which closes into a loop. Factor
+    ``j`` enters with label ``j`` and its last output label is renamed to
+    ``j``, which closes the wire without an identity tensor. A tensor that
+    is both first and last on a factor carries that label twice.
+    """
+    t = ctx.op.gtype
+    fresh = itertools.count(ctx.factors)
+    wires = list(range(ctx.factors))
+    tensors, legs = [], []
+
+    def attach(mat, start, span):
+        out = [next(fresh) for _ in range(span)]
+        tensors.append(mat.reshape((t.d,) * 2 * span))
+        legs.append(out + wires[start:start + span])
+        wires[start:start + span] = out
+
+    for mat, pos, span in placed:
+        attach(mat, pos - 1, span)
+    for g in b.letters:
+        attach(ctx.op.r if g > 0 else ctx.op.r_inv, t.m * (abs(g) - 1), t.k)
+    close = {w: j for j, w in enumerate(wires)}
+    legs = [[close.get(x, x) for x in ls] for ls in legs]
+    return tensors, legs, t.d ** sum(w == j for j, w in enumerate(wires))
+
+
+def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int]:
+    """Pairwise contraction order for a network with the given leg labels.
+
+    Every label occurs twice in the network, so a tensor's open legs are a
+    bitmask (a label it carries twice is traced out first) and merging two
+    tensors keeps the symmetric difference. Only tensors that share a leg
+    are candidates; the greedy cost is ``size(out) - size(a) - size(b)``
+    with ties broken on the smaller, then the larger tensor id, so the
+    order, and with it the floating-point result, is fixed. Merged tensors
+    take the next id after the inputs. Returns the steps as id pairs and
+    the multiply-add count of the whole contraction.
+    """
+    flops = 0
+    masks, owners = [], {}
+    for i, ls in enumerate(legs):
+        mask = 0
+        for x in ls:
+            mask ^= 1 << x
+            owners.setdefault(x, []).append(i)
+        if mask.bit_count() < len(ls):
+            flops += d ** len(set(ls))
+        masks.append(mask)
+    nbrs = [set() for _ in legs]
+    for i, j in owners.values():
+        if i != j:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+
+    sizes = [d ** mask.bit_count() for mask in masks]
+
+    def cost(i, j):
+        return (d ** (masks[i] ^ masks[j]).bit_count() - sizes[i] - sizes[j], i, j)
+
+    heap = [cost(i, j) for i, ns in enumerate(nbrs) for j in ns if i < j]
+    heapq.heapify(heap)
+    used = [False] * len(legs)
+    steps = []
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if used[i] or used[j]:
+            continue
+        used[i] = used[j] = True
+        flops += d ** (masks[i] | masks[j]).bit_count()
+        c = len(masks)
+        steps.append((i, j))
+        masks.append(masks[i] ^ masks[j])
+        sizes.append(d ** masks[c].bit_count())
+        used.append(False)
+        nbrs.append((nbrs[i] | nbrs[j]) - {i, j})
+        for k in nbrs[c]:
+            nbrs[k] -= {i, j}
+            nbrs[k].add(c)
+            heapq.heappush(heap, cost(k, c))
+    return steps, flops
+
+
+def _contract(network, steps) -> complex:
+    # Execute a plan from _greedy_plan on a network from _network.
+    tensors, legs, loop_factor = network
+    tensors, legs = list(tensors), list(legs)
+    for i, ls in enumerate(legs):
+        if len(set(ls)) < len(ls):
+            keep = [x for x in ls if ls.count(x) == 1]
+            axis = {x: n for n, x in enumerate(dict.fromkeys(ls))}
+            tensors[i] = np.einsum(tensors[i], [axis[x] for x in ls], [axis[x] for x in keep])
+            legs[i] = keep
+    for i, j in steps:
+        la, lb = legs[i], legs[j]
+        shared = [x for x in la if x in lb]
+        axes = ([la.index(x) for x in shared], [lb.index(x) for x in shared])
+        tensors.append(np.tensordot(tensors[i], tensors[j], axes))
+        legs.append([x for x in la + lb if x not in shared])
+        tensors[i] = tensors[j] = None
+    value = complex(loop_factor)
+    for arr in tensors:
+        if arr is not None:
+            value *= complex(arr)
+    return value
+
+
+def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, chunk: int = TRACE_CHUNK) -> complex:
+    """Trace of the represented braid composed with a product weight.
+
+    Args:
+        ctx: representation context matching ``b``.
+        b: braid word to represent.
+        blocks: optional sequence of ``(matrix, span)`` pairs laid out left
+            to right; their spans must cover all ``ctx.factors`` factors.
+            None means the identity weight. Blocks that equal the identity
+            are skipped.
+        chunk: basis-column chunk size of the column sweep; fixed chunking
+            in index order keeps its floating-point reduction deterministic.
+
+    Returns:
+        ``tr(rho(b) . W)`` where ``W`` is the Kronecker product of the blocks.
+    """
+    if b.strands != ctx.n:
+        raise ShapeError(f"braid has {b.strands} strands, context expects {ctx.n}")
+    placed = _place_blocks(ctx, blocks)
+    t = ctx.op.gtype
+    sweep_cost = ctx.dim**2 * (1 + len(b) * t.dim + sum(t.d**span for _, _, span in placed))
+    if sweep_cost >= SWEEP_GATE:
+        network = _network(ctx, b, placed)
+        steps, flops = _greedy_plan(network[1], t.d)
+        if flops < sweep_cost:
+            return _contract(network, steps)
+    return _sweep(ctx, b, placed, chunk)

@@ -234,3 +234,41 @@ def test_tolerance_env_default(capsys, monkeypatch):
     monkeypatch.setenv("GYBLINK_TOLERANCE", "1e-30")
     code, payload, _ = run_json(capsys, "verify", "--operator", "type1")
     assert code == 1  # float residuals cannot meet an impossible tolerance
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_suite_rejects_nonpositive_trials(capsys, trials):
+    code, out, err = run_cli(capsys, "suite", "--operator", "type1", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf"])
+def test_tolerance_env_must_be_finite(capsys, monkeypatch, value):
+    monkeypatch.setenv("GYBLINK_TOLERANCE", value)
+    for argv in (("verify", "--operator", "type1"), ("compute", "--operator", "type1", "--braid", "trefoil")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: GYBLINK_TOLERANCE") and len(err.splitlines()) == 1
+    # an explicit --tolerance overrides the bad default
+    code, payload, _ = run_json(capsys, "verify", "--operator", "type1", "--tolerance", "0.01")
+    assert code == 0
+    assert payload["tolerance"] == 0.01
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_tolerance_flag_must_be_finite(capsys, value):
+    code, out, err = run_cli(capsys, "verify", "--operator", "type1", "--tolerance", value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --tolerance") and len(err.splitlines()) == 1
+
+
+def test_help_ignores_bad_tolerance_env(capsys, monkeypatch):
+    monkeypatch.setenv("GYBLINK_TOLERANCE", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--tolerance" in capsys.readouterr().out

@@ -1,11 +1,22 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from gyblink.braids import BraidWord, parse_braid, random_braid
+from gyblink.enhancement import catalog_enhancement
 from gyblink.errors import ResourceCapError, ShapeError
+from gyblink.invariant import markov_check, trace_invariant
 from gyblink.operators import build_operator, build_r232, build_type1
 from gyblink.rep import (
     DIM_CAP,
+    SWEEP_GATE,
+    TRACE_CHUNK,
+    _contract,
+    _greedy_plan,
+    _network,
+    _place_blocks,
+    _sweep,
     apply_letter,
     dense_representation,
     make_context,
@@ -155,3 +166,86 @@ def test_trace_block_validation():
         trace_with_weight(ctx, b, [(np.eye(3), 1)] * 4)  # wrong block shape
     with pytest.raises(ShapeError):
         trace_with_weight(ctx, parse_braid("1", 2), None)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_sweep_chunk_invariance(n):
+    # the sweep's chunked column reduction, called directly: r232 words on
+    # 4 and 5 strands cost more than SWEEP_GATE, so trace_with_weight plans them
+    rng = np.random.default_rng(19)
+    ctx = make_context(build_r232(), n)
+    b = random_braid(n, 8, seed=17)
+    mu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    for blocks in (None, [(mu, 1)] * ctx.factors):
+        placed = _place_blocks(ctx, blocks)
+        full = _sweep(ctx, b, placed, chunk=TRACE_CHUNK)
+        assert _sweep(ctx, b, placed, chunk=TRACE_CHUNK) == full
+        for chunk in (1, 7, 100):
+            assert _sweep(ctx, b, placed, chunk=chunk) == pytest.approx(full, rel=1e-12, abs=1e-10)
+        assert trace_with_weight(ctx, b, blocks) == pytest.approx(full, rel=1e-12, abs=1e-10)
+
+
+def _forced_traces(ctx, b, blocks):
+    # Both evaluators on the same word, bypassing the cost-based choice.
+    placed = _place_blocks(ctx, blocks)
+    network = _network(ctx, b, placed)
+    steps, _ = _greedy_plan(network[1], ctx.op.gtype.d)
+    return _sweep(ctx, b, placed), _contract(network, steps)
+
+
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.op_id)
+def test_sweep_and_network_match_dense(op):
+    rng = np.random.default_rng(21)
+    g = op.gtype
+    for n in (2, 3, 4, 5):
+        ctx = make_context(op, n)
+        b = random_braid(n, 6, seed=n)
+        dense = dense_representation(ctx, b)
+        mu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        defect = rng.normal(size=(2 ** (g.k - g.m),) * 2) + 1j * rng.normal(size=(2 ** (g.k - g.m),) * 2)
+        for blocks in (None, [(mu, 1)] * ctx.factors, [(mu, 1)] * (g.m * (n - 1)) + [(defect, g.k - g.m)]):
+            weight = np.eye(ctx.dim) if blocks is None else reduce(np.kron, [mat for mat, _ in blocks])
+            want = np.trace(dense @ weight)
+            for got in _forced_traces(ctx, b, blocks):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_network_path_is_deterministic(monkeypatch):
+    ctx = make_context(build_type1(0.6), 9)
+    b = random_braid(9, 30, seed=23)
+    swept = _sweep(ctx, b, [])
+
+    def refuse(*args):
+        raise AssertionError("the column sweep ran")
+
+    monkeypatch.setattr("gyblink.rep._sweep", refuse)
+    first = trace_with_weight(ctx, b)
+    assert trace_with_weight(ctx, b) == first
+    assert abs(first - swept) <= 1e-12 * abs(swept)
+
+
+def test_costly_plan_falls_back_to_sweep(monkeypatch):
+    # a long word on few factors: the greedy plan needs more multiply-adds
+    # than the column sweep, so the sweep must run
+    ctx = make_context(build_r232(), 4)
+    b = random_braid(4, 60, seed=2)
+    sweep_cost = ctx.dim**2 * (1 + len(b) * ctx.op.gtype.dim)
+    _, flops = _greedy_plan(_network(ctx, b, [])[1], 2)
+    assert sweep_cost >= SWEEP_GATE and flops >= sweep_cost
+
+    def refuse(*args):
+        raise AssertionError("the network path ran")
+
+    monkeypatch.setattr("gyblink.rep._contract", refuse)
+    assert trace_with_weight(ctx, b) == _sweep(ctx, b, [])
+
+
+@pytest.mark.parametrize("name", ["type1", "type2", "type3", "r232"])
+def test_wide_words_past_the_cap(name):
+    s = catalog_enhancement(name, 0.3)
+    unknot = trace_invariant(s, BraidWord(1, ())).value
+    for n in (24, 40):
+        got = trace_invariant(s, BraidWord(n, tuple(range(1, n))), allow_large=True).value
+        assert abs(got - unknot) <= 1e-9 * abs(unknot)
+    b = random_braid(24, 20, seed=29)
+    assert markov_check(s, b, trials=3, seed=31, allow_large=True) <= 1e-9

@@ -32,7 +32,6 @@ from .enhancement import (
     acts_offdiagonally_on_last,
     catalog_enhancement,
     condition_i_residual,
-    defect,
     enhancement_report,
     make_enhancement,
     sampled_perpendicularity,
@@ -76,23 +75,18 @@ from .operators import (
     verify_gybe,
     write_operator_file,
 )
-from .rep import DIM_CAP, RepContext, dense_representation, make_context, rep_apply, trace_with_weight
+from .rep import PEAK_CAP, RepContext, dense_representation, make_context, rep_apply, trace_with_weight
 from .tensorops import (
     DEFAULT_TOL,
     TensorShape,
     as_matrix,
     dagger,
     identity,
-    kron,
     kron_power,
     mat_inverse,
-    mat_mul,
-    mat_trace,
-    matrices_close,
     max_abs,
     partial_trace_last,
     tensor_embed,
-    trace_inner,
 )
 
 __version__ = "0.1.0"

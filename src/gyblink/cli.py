@@ -80,9 +80,13 @@ def _takes_theta(name: str) -> bool:
 
 
 def _resolve_theta(args) -> float:
-    if args.theta is not None and not _takes_theta(args.operator):
+    if args.theta is None:
+        return 0.0
+    if not math.isfinite(args.theta):
+        raise GybError(f"--theta must be a finite number, got {args.theta}")
+    if not _takes_theta(args.operator):
         print(f"warning: theta is ignored for operator {args.operator}", file=sys.stderr)
-    return args.theta if args.theta is not None else 0.0
+    return args.theta
 
 
 def _enhancement_for(args):
@@ -190,7 +194,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _suite_rows(names, trials: int, seed: int, tol: float):
+def _suite_rows(names, trials: int, seed: int):
     rng = np.random.default_rng(seed)
     rows = []
     for name in names:
@@ -237,7 +241,7 @@ def cmd_suite(args) -> int:
     for name in names:
         if name not in CATALOG_IDS:
             raise GybError(f"suite runs on catalog operators only, got {name!r}")
-    rows = _suite_rows(names, args.trials, args.seed, args.tolerance)
+    rows = _suite_rows(names, args.trials, args.seed)
     ok = all(residual <= args.tolerance for _, _, residual in rows)
     if args.output == "json":
         payload = {
@@ -280,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--output", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--allow-large", action="store_true", help="lift the representation size cap")
+        p.add_argument("--allow-large", action="store_true", help="lift the cap on the largest array a "
+                       "trace holds; a dimension that overflows a float is still refused")
 
     p = sub.add_parser("compute", help="evaluate an invariant of one closed braid")
     common(p, True)

@@ -25,6 +25,7 @@ is enforced at construction; the orthogonality evidence is graded by
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,8 @@ def make_enhancement(op: GybOperator, mu=None, alpha: complex = 1.0, beta: compl
     """Validate enhancement data and cache the two defects.
 
     ``mu`` defaults to the identity. Raises EnhancementError when ``mu`` is
-    not invertible, a scalar is zero, or the commutation residual exceeds
-    ``tol``.
+    not invertible, a scalar is zero or not finite, or the commutation
+    residual is not within ``tol``.
     """
     g = op.gtype
     mu = identity(g.d) if mu is None else as_matrix(mu, g.d)
@@ -101,10 +102,10 @@ def make_enhancement(op: GybOperator, mu=None, alpha: complex = 1.0, beta: compl
     except SingularMatrixError as exc:
         raise EnhancementError("the scaling matrix must be invertible") from exc
     alpha, beta = complex(alpha), complex(beta)
-    if alpha == 0 or beta == 0:
-        raise EnhancementError("the scalar weights must be nonzero")
+    if not (alpha and beta and cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise EnhancementError(f"the scalar weights must be finite and nonzero, got {alpha} and {beta}")
     res = condition_i_residual(op, mu)
-    if res > tol:
+    if not res <= tol:
         raise EnhancementError(
             f"the scaling matrix does not commute with the operator (residual {res:.3e})"
         )
@@ -114,12 +115,6 @@ def make_enhancement(op: GybOperator, mu=None, alpha: complex = 1.0, beta: compl
     plus = partial_trace_last(op.r @ mk, shape, g.m) - alpha * beta * rest
     minus = partial_trace_last(op.r_inv @ mk, shape, g.m) - beta / alpha * rest
     return Enhancement(op, mu, alpha, beta, plus, minus)
-
-
-def defect(s: Enhancement, sign: int) -> np.ndarray:
-    if sign not in (1, -1):
-        raise ShapeError(f"defect sign must be +1 or -1, got {sign}")
-    return s.defect_plus if sign == 1 else s.defect_minus
 
 
 def acts_offdiagonally_on_last(g, shape: TensorShape, tol: float = DEFAULT_TOL) -> bool:

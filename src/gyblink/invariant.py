@@ -52,12 +52,14 @@ def trace_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> 
     representation dimension; wide words take a tensor-network contraction
     plan, whose cost follows the plan's largest intermediate instead. The
     plan breaks cost ties on fixed tensor ids, so values are deterministic
-    on either path. The dimension stays capped unless ``allow_large`` is
-    set.
+    on either path. A word whose every path holds an array over
+    ``rep.PEAK_CAP`` elements raises ResourceCapError unless
+    ``allow_large`` is set; a strand count whose representation dimension
+    overflows a float raises it regardless.
     """
-    ctx = make_context(s.op, b.strands, allow_large)
+    ctx = make_context(s.op, b.strands)
     blocks = None if s.mu_is_identity else [(s.mu, 1)] * ctx.factors
-    tr = trace_with_weight(ctx, b, blocks)
+    tr = trace_with_weight(ctx, b, blocks, allow_large)
     w = writhe(b)
     value = s.alpha ** (-w) * s.beta ** (-b.strands) * tr
     return InvariantResult(complex(value), s.op.op_id, s.op.theta, b, w, "raw")
@@ -84,8 +86,7 @@ def _with_front_letter(b: BraidWord, g: int) -> BraidWord:
     return compose(BraidWord(b.strands, (g,)), b)
 
 
-def skein_check(s: Enhancement, b: BraidWord, x: complex = 1.0, y: complex = 1.0,
-                allow_large: bool = False) -> float:
+def skein_check(s: Enhancement, b: BraidWord, x: complex = 1.0, y: complex = 1.0) -> float:
     """Residual of ``x T(+crossing) + x^-1 T(-crossing) - y T(bare)``.
 
     The three braids differ by a first-generator letter put in front of
@@ -93,13 +94,13 @@ def skein_check(s: Enhancement, b: BraidWord, x: complex = 1.0, y: complex = 1.0
     """
     if b.strands < 2:
         raise ShapeError("a crossing triple needs at least 2 strands")
-    tp = trace_invariant(s, _with_front_letter(b, 1), allow_large).value
-    tm = trace_invariant(s, _with_front_letter(b, -1), allow_large).value
-    t0 = trace_invariant(s, b, allow_large).value
+    tp = trace_invariant(s, _with_front_letter(b, 1)).value
+    tm = trace_invariant(s, _with_front_letter(b, -1)).value
+    t0 = trace_invariant(s, b).value
     return abs(x * tp + tm / x - y * t0)
 
 
-def quartic_check_type2(s: Enhancement, b: BraidWord, allow_large: bool = False) -> float:
+def quartic_check_type2(s: Enhancement, b: BraidWord) -> float:
     """Residual of the four-term crossing relation of the type2 family:
     T(++) - T(+) + T(bare) - T(-) with crossings stacked in front of ``b``.
     """
@@ -107,52 +108,49 @@ def quartic_check_type2(s: Enhancement, b: BraidWord, allow_large: bool = False)
         raise GybError(f"the four-term crossing relation is specific to type2, got {s.op.op_id!r}")
     if b.strands < 2:
         raise ShapeError("the crossing relation needs at least 2 strands")
-    t2 = trace_invariant(s, _with_front_letter(_with_front_letter(b, 1), 1), allow_large).value
-    t1 = trace_invariant(s, _with_front_letter(b, 1), allow_large).value
-    t0 = trace_invariant(s, b, allow_large).value
-    tm = trace_invariant(s, _with_front_letter(b, -1), allow_large).value
+    t2 = trace_invariant(s, _with_front_letter(_with_front_letter(b, 1), 1)).value
+    t1 = trace_invariant(s, _with_front_letter(b, 1)).value
+    t0 = trace_invariant(s, b).value
+    tm = trace_invariant(s, _with_front_letter(b, -1)).value
     return abs(t2 - t1 + t0 - tm)
 
 
-def markov_check(s: Enhancement, b: BraidWord, trials: int = 10, seed: int = 0,
-                 allow_large: bool = False) -> float:
+def markov_check(s: Enhancement, b: BraidWord, trials: int = 10, seed: int = 0) -> float:
     """Largest deviation of the invariant under moves that fix the closure.
 
     Conjugates ``b`` by ``trials`` seeded random words and applies both
     stabilizations; returns the max absolute difference from the base value.
     """
-    base = trace_invariant(s, b, allow_large).value
+    base = trace_invariant(s, b).value
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         eta = random_braid(b.strands, int(rng.integers(0, 7)), rng)
-        moved = trace_invariant(s, conjugate(b, eta), allow_large).value
+        moved = trace_invariant(s, conjugate(b, eta)).value
         worst = max(worst, abs(moved - base))
     for sign in (1, -1):
-        moved = trace_invariant(s, stabilize(b, sign), allow_large).value
+        moved = trace_invariant(s, stabilize(b, sign)).value
         worst = max(worst, abs(moved - base))
     return worst
 
 
-def multiplicativity_check(s: Enhancement, b1: BraidWord, b2: BraidWord,
-                           allow_large: bool = False) -> float:
+def multiplicativity_check(s: Enhancement, b1: BraidWord, b2: BraidWord) -> float:
     """Residual of T(split union) = tr(mu)^(2m - k) T(b1) T(b2)."""
     g = s.op.gtype
-    t12 = trace_invariant(s, juxtapose(b1, b2), allow_large).value
-    t1 = trace_invariant(s, b1, allow_large).value
-    t2 = trace_invariant(s, b2, allow_large).value
+    t12 = trace_invariant(s, juxtapose(b1, b2)).value
+    t1 = trace_invariant(s, b1).value
+    t2 = trace_invariant(s, b2).value
     return abs(t12 - s.mu_trace ** (2 * g.m - g.k) * t1 * t2)
 
 
 def cross_operator_check(b: BraidWord, theta: float = 0.0,
-                         s3: Enhancement | None = None, s232: Enhancement | None = None,
-                         allow_large: bool = False) -> float:
+                         s3: Enhancement | None = None, s232: Enhancement | None = None) -> float:
     """Residual of the identity (1/4) T_type3 = T_r232 on the same closure.
 
     Prebuilt enhancements can be passed to avoid rebuilding in loops.
     """
     s3 = catalog_enhancement("type3", theta) if s3 is None else s3
     s232 = catalog_enhancement("r232") if s232 is None else s232
-    v3 = trace_invariant(s3, b, allow_large).value
-    v232 = trace_invariant(s232, b, allow_large).value
+    v3 = trace_invariant(s3, b).value
+    v232 = trace_invariant(s232, b).value
     return abs(0.25 * v3 - v232)

@@ -13,6 +13,7 @@ by 1/sqrt(2), and one fixed type (2, 3, 2) operator ``r232``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,6 +73,8 @@ class GybOperator:
 
 def _checked_theta(theta: float) -> float:
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise GybError(f"theta must be a finite number, got {theta}")
     if not 0.0 <= theta <= np.pi:
         warnings.warn(
             f"theta={theta} lies outside [0, pi]; the matrices stay well defined",
@@ -315,6 +318,6 @@ def check_outer_diagonal(op: GybOperator, tol: float = DEFAULT_TOL) -> bool:
     keep = same[:, None, None, :, None, None] & same[None, None, :, None, None, :]
     for mat in (op.r, op.r_inv):
         t = mat.reshape(d, d, d, d, d, d)
-        if max_abs(np.where(keep, 0.0, t)) > tol:
+        if not max_abs(np.where(keep, 0.0, t)) <= tol:
             return False
     return True

@@ -10,13 +10,17 @@ The weighted trace of a closed braid has two evaluators, chosen per call
 from the word and the context alone:
 
 * the column sweep pushes every basis column through every letter. It
-  costs ``L d^k dim^2`` multiply-adds for ``L`` letters, so small words
-  (under ``SWEEP_GATE``) always take it.
+  costs ``L d^k dim^2`` multiply-adds for ``L`` letters and holds
+  ``dim * min(dim, TRACE_CHUNK)`` elements at once, so small words (under
+  ``SWEEP_GATE``) always take it.
 * the network path treats each letter and weight block as a tensor,
   closes each factor's wire onto itself and contracts the network pairwise
   in a greedy order. Its cost follows the plan's largest intermediates,
-  not ``dim^2``, so it reaches words on dozens of strands. It runs when
-  the plan needs fewer multiply-adds than the sweep.
+  not ``dim^2``, so it reaches words on dozens of strands.
+
+``trace_with_weight`` alone decides size: it runs the cheaper path among
+those whose largest array fits ``PEAK_CAP`` and raises ResourceCapError
+when none fits, unless ``allow_large`` lifts the cap.
 
 Both are deterministic: the sweep chunks columns in index order and the
 plan breaks cost ties on tensor ids, so one word always takes the same
@@ -39,9 +43,6 @@ from .errors import ResourceCapError, ShapeError
 from .operators import GybOperator
 from .tensorops import TensorShape, identity, tensor_embed
 
-#: Largest representation dimension accepted without an explicit override.
-DIM_CAP = 2048
-
 #: Basis columns are processed in fixed chunks of this many vectors, in
 #: index order, so trace sums are reproducible run to run.
 TRACE_CHUNK = 1024
@@ -54,6 +55,11 @@ TRACE_CHUNK = 1024
 #: [2^20, 2^22) (the three losses: 40 letters on 5 strands) and all 69 above.
 SWEEP_GATE = 1 << 20
 
+#: Largest array, in complex elements, a trace may hold without
+#: ``allow_large``: the column sweep's ``dim * TRACE_CHUNK`` at dimension
+#: 2048 (32 MiB), so every word of dimension 2048 or less still evaluates.
+PEAK_CAP = 1 << 21
+
 
 @dataclass(frozen=True, eq=False)
 class RepContext:
@@ -65,23 +71,21 @@ class RepContext:
     dim: int
 
 
-def make_context(op: GybOperator, n: int, allow_large: bool = False) -> RepContext:
+def make_context(op: GybOperator, n: int) -> RepContext:
     """Build the context for braids on ``n`` strands.
 
-    Refuses dimensions beyond DIM_CAP unless ``allow_large`` is set; costs
-    grow with the square of the dimension.
+    Raises ResourceCapError, before ``d`` is raised to any power, when the
+    dimension ``d^N`` overflows a float: no value could be reported.
     """
     if n < 1:
         raise ShapeError(f"strand count must be positive, got {n}")
     g = op.gtype
     factors = g.k + g.m * (n - 2) if n >= 2 else g.k - g.m
-    dim = g.d**factors
-    if dim > DIM_CAP and not allow_large:
-        raise ResourceCapError(
-            f"representation dimension {dim} for {n} strands exceeds the cap {DIM_CAP}; "
-            "pass allow_large=True (CLI: --allow-large) to override"
-        )
-    return RepContext(op, n, factors, dim)
+    try:
+        float(g.d) ** factors
+    except OverflowError:
+        raise ResourceCapError(f"the dimension {g.d}^{factors} for {n} strands overflows a float") from None
+    return RepContext(op, n, factors, g.d**factors)
 
 
 def _apply_block(mat: np.ndarray, start: int, span_dim: int, state: np.ndarray, d: int) -> np.ndarray:
@@ -197,7 +201,7 @@ def _network(ctx: RepContext, b: BraidWord, placed):
     return tensors, legs, t.d ** sum(w == j for j, w in enumerate(wires))
 
 
-def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int]:
+def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int]:
     """Pairwise contraction order for a network with the given leg labels.
 
     Every label occurs twice in the network, so a tensor's open legs are a
@@ -206,8 +210,9 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int]:
     are candidates; the greedy cost is ``size(out) - size(a) - size(b)``
     with ties broken on the smaller, then the larger tensor id, so the
     order, and with it the floating-point result, is fixed. Merged tensors
-    take the next id after the inputs. Returns the steps as id pairs and
-    the multiply-add count of the whole contraction.
+    take the next id after the inputs. Returns the steps as id pairs, the
+    multiply-add count of the whole contraction and the element count of
+    its largest tensor.
     """
     flops = 0
     masks, owners = [], {}
@@ -250,7 +255,7 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int]:
             nbrs[k] -= {i, j}
             nbrs[k].add(c)
             heapq.heappush(heap, cost(k, c))
-    return steps, flops
+    return steps, flops, max(sizes, default=1)
 
 
 def _contract(network, steps) -> complex:
@@ -277,7 +282,7 @@ def _contract(network, steps) -> complex:
     return value
 
 
-def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, chunk: int = TRACE_CHUNK) -> complex:
+def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: bool = False) -> complex:
     """Trace of the represented braid composed with a product weight.
 
     Args:
@@ -287,8 +292,9 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, chunk: int = T
             to right; their spans must cover all ``ctx.factors`` factors.
             None means the identity weight. Blocks that equal the identity
             are skipped.
-        chunk: basis-column chunk size of the column sweep; fixed chunking
-            in index order keeps its floating-point reduction deterministic.
+        allow_large: lift ``PEAK_CAP``. Without it the evaluator with fewer
+            multiply-adds among those whose largest array fits the cap runs,
+            and ResourceCapError is raised when neither fits.
 
     Returns:
         ``tr(rho(b) . W)`` where ``W`` is the Kronecker product of the blocks.
@@ -298,9 +304,17 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, chunk: int = T
     placed = _place_blocks(ctx, blocks)
     t = ctx.op.gtype
     sweep_cost = ctx.dim**2 * (1 + len(b) * t.dim + sum(t.d**span for _, _, span in placed))
-    if sweep_cost >= SWEEP_GATE:
+    sweep_peak = ctx.dim * min(ctx.dim, TRACE_CHUNK)
+    sweep_fits = allow_large or sweep_peak <= PEAK_CAP
+    if sweep_cost >= SWEEP_GATE or not sweep_fits:
         network = _network(ctx, b, placed)
-        steps, flops = _greedy_plan(network[1], t.d)
-        if flops < sweep_cost:
+        steps, flops, peak = _greedy_plan(network[1], t.d)
+        if (allow_large or peak <= PEAK_CAP) and (flops < sweep_cost or not sweep_fits):
             return _contract(network, steps)
-    return _sweep(ctx, b, placed, chunk)
+        if not sweep_fits:
+            raise ResourceCapError(
+                f"a {len(b)}-letter word on {ctx.n} strands needs an array of about "
+                f"2^{min(peak, sweep_peak).bit_length() - 1} elements, over the cap of "
+                f"2^{PEAK_CAP.bit_length() - 1}; pass allow_large=True (CLI: --allow-large) to override"
+            )
+    return _sweep(ctx, b, placed)

@@ -69,11 +69,6 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def matrices_close(a, b, tol: float = DEFAULT_TOL) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and max_abs(a - b) <= tol
-
-
 def num_factors(dim: int, d: int) -> int:
     """Exact log base ``d``; ShapeError if ``dim`` is not a power of ``d``."""
     if d < 2:
@@ -87,11 +82,6 @@ def num_factors(dim: int, d: int) -> int:
     if x != dim:
         raise ShapeError(f"dimension {dim} is not a power of {d}")
     return n
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices (first factor most significant)."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def kron_power(a, p: int) -> np.ndarray:
@@ -110,33 +100,14 @@ def dagger(f) -> np.ndarray:
     return as_matrix(f).conj().T.copy()
 
 
-def trace_inner(f, g) -> complex:
-    """Trace inner product tr(dagger(f) g); conjugate linear in ``f``."""
-    f, g = as_matrix(f), as_matrix(g)
-    if f.shape != g.shape:
-        raise ShapeError(f"trace inner product needs equal shapes, got {f.shape} and {g.shape}")
-    return complex(np.vdot(f, g))
-
-
-def mat_trace(f) -> complex:
-    return complex(np.trace(as_matrix(f)))
-
-
-def mat_mul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"matrix product needs equal shapes, got {a.shape} and {b.shape}")
-    return a @ b
-
-
 def mat_inverse(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Inverse with a residual check on ``a @ inv - I``."""
+    """Inverse with a residual check on ``a @ inv - I``; a NaN residual fails."""
     a = as_matrix(a)
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix of dimension {a.shape[0]} is singular") from exc
-    if max_abs(a @ inv - identity(a.shape[0])) > tol:
+    if not max_abs(a @ inv - identity(a.shape[0])) <= tol:
         raise SingularMatrixError("inverse residual exceeds tolerance; matrix is numerically singular")
     return inv
 

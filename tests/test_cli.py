@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gyblink.braids import random_braid
 from gyblink.cli import main
 from gyblink.operators import build_type3, write_operator_file
 
@@ -134,16 +139,90 @@ def test_compute_exit_codes(capsys):
         "--alpha", "1", "--beta", "1",
     )
     assert code == 2
-    code, _, err = run_cli(
-        capsys, "compute", "--operator", "type1", "--braid", "", "--strands", "11"
-    )
-    assert code == 3 and "cap" in err
     code, payload, _ = run_json(
-        capsys, "compute", "--operator", "type1", "--braid", "", "--strands", "11",
-        "--allow-large",
+        capsys, "compute", "--operator", "type1", "--braid", "", "--strands", "11"
     )
     assert code == 0
     assert payload["value"]["re"] == pytest.approx(4096.0, abs=1e-6)
+
+
+def test_peak_cap_exit_codes(capsys, monkeypatch):
+    word = " ".join(map(str, random_braid(11, 20, seed=3).letters))
+    argv = ("compute", "--operator", "type1", "--braid", word, "--strands", "11")
+    code, want, _ = run_json(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr("gyblink.rep.PEAK_CAP", 64)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "cap" in err and len(err.splitlines()) == 1
+    code, payload, _ = run_json(capsys, *argv, "--allow-large")
+    assert code == 0 and payload == want
+
+
+@pytest.mark.parametrize("flag", [(), ("--allow-large",)])
+@pytest.mark.parametrize("braid", [("", "--strands", "2000"), ("300000000",)])
+def test_float_range_refusal(capsys, flag, braid):
+    code, out, err = run_cli(capsys, "compute", "--operator", "type1", "--braid", *braid, *flag)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "overflows a float" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", [24, 64])
+def test_wide_words_under_the_default_cap(capsys, n):
+    word = " ".join(map(str, random_braid(n, 20, seed=n).letters))
+    code, payload, err = run_json(capsys, "compute", "--operator", "type1", "--braid", word, "--strands", str(n))
+    assert code == 0 and err == ""
+    assert payload["strands"] == n and np.isfinite(payload["value"]["re"])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("operator, flag", [
+    ("type1", "--theta"), ("r232", "--theta"), ("custom", "--alpha"), ("custom", "--beta"),
+])
+def test_nonfinite_parameters_exit_2(tmp_path, capsys, operator, flag, value):
+    argv = ["compute", "--operator", operator, "--braid", "trefoil", "--output", "json"]
+    if operator == "custom":
+        path = tmp_path / "op.mat"
+        write_operator_file(path, build_type3(0.0))
+        argv[2] = f"custom:{path}"
+        argv += ["--alpha=1", "--beta=1.4142135623730951"]
+    code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@st.composite
+def compute_argv(draw):
+    n = draw(st.integers(1, 10**9))
+    letters = draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=8 if n > 1 else 0))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(letters), max_size=len(letters)))
+    argv = [
+        "compute",
+        "--operator", draw(st.sampled_from(("type1", "type2", "type3", "r232"))),
+        f"--theta={draw(st.floats())!r}",
+        f"--braid={' '.join(str(s * g) for s, g in zip(signs, letters))}",
+        "--strands", str(n),
+        "--output", "json",
+    ]
+    return argv + (["--allow-large"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(compute_argv())
+def test_compute_fuzz_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""
 
 
 def test_custom_operator_needs_weights(tmp_path, capsys):

@@ -6,14 +6,13 @@ from gyblink.enhancement import (
     acts_offdiagonally_on_last,
     catalog_enhancement,
     condition_i_residual,
-    defect,
     enhancement_report,
     make_enhancement,
     sampled_perpendicularity,
 )
-from gyblink.errors import EnhancementError, GybError, ShapeError
-from gyblink.operators import CATALOG_IDS, GybType, build_type1, build_type2, load_custom
-from gyblink.tensorops import TensorShape, dagger, identity, matrices_close, max_abs
+from gyblink.errors import EnhancementError, ShapeError
+from gyblink.operators import CATALOG_IDS, GybOperator, GybType, build_type1, build_type2, load_custom
+from gyblink.tensorops import TensorShape, dagger, identity, max_abs
 
 SQ2 = np.sqrt(2.0)
 ALPHA = np.exp(1j * np.pi / 4)
@@ -47,7 +46,7 @@ def test_defect_shapes_and_adjoint_pairing(theta):
     for name in ("type1", "type2", "type3"):
         s = catalog_enhancement(name, theta)
         assert s.defect_plus.shape == (4, 4)
-        assert matrices_close(s.defect_minus, dagger(s.defect_plus), 1e-12)
+        assert max_abs(s.defect_minus - dagger(s.defect_plus)) <= 1e-12
 
 
 def test_defect_support_is_last_factor_offdiagonal():
@@ -77,14 +76,6 @@ def test_r232_defects_vanish():
     assert max_abs(s.defect_minus) < 1e-12
 
 
-def test_defect_sign_lookup():
-    s = catalog_enhancement("type1", 0.2)
-    assert defect(s, +1) is s.defect_plus
-    assert defect(s, -1) is s.defect_minus
-    with pytest.raises(GybError):
-        defect(s, 0)
-
-
 def test_acts_offdiagonally_on_last():
     pair = TensorShape(2, 2)
     for name in ("type1", "type2", "type3"):
@@ -111,6 +102,26 @@ def test_make_enhancement_rejects_bad_inputs():
         make_enhancement(op, identity(3), ALPHA, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_make_enhancement_rejects_nonfinite_data(bad):
+    op = build_type1(0.4)
+    with pytest.raises(EnhancementError):
+        make_enhancement(op, None, bad, 1.0)
+    with pytest.raises(EnhancementError):
+        make_enhancement(op, None, ALPHA, bad)
+    with pytest.raises(EnhancementError):
+        make_enhancement(op, np.diag([bad, 1.0]), ALPHA, 1.0)
+
+
+def test_make_enhancement_rejects_nan_commutator():
+    # a NaN commutation residual is a failure, not a pass
+    r = identity(8)
+    r[0, 7] = np.nan
+    op = GybOperator(GybType(2, 3, 1), r, identity(8), "nan")
+    with pytest.raises(EnhancementError, match="commute"):
+        make_enhancement(op)
+
+
 def test_make_enhancement_rejects_noncommuting_weight():
     op = build_type1(0.4)
     with pytest.raises(EnhancementError):
@@ -125,7 +136,7 @@ def test_scaled_identity_weight_accepted():
     assert s.mu_trace == pytest.approx(4.0)
     assert not s.mu_is_identity
     base = catalog_enhancement("type2", 0.9)
-    assert matrices_close(s.defect_plus, 8 * base.defect_plus, 1e-12)
+    assert max_abs(s.defect_plus - 8 * base.defect_plus) <= 1e-12
     assert enhancement_report(s).verdict == "structural"
 
 

@@ -171,12 +171,21 @@ def test_cross_operator_identity():
     assert cross_operator_check(TREFOIL) < 1e-9
 
 
-def test_dimension_cap_propagates():
+def test_dimension_cap_propagates(monkeypatch):
     s = catalog_enhancement("type1", 0.0)
+    assert trace_invariant(s, unlink(11)).value == pytest.approx(2.0**12, abs=1e-6)
+    b = random_braid(11, 20, seed=4)
+    want = trace_invariant(s, b).value
+    monkeypatch.setattr("gyblink.rep.PEAK_CAP", 64)
+    for evaluate in (trace_invariant, normalized_invariant, multiplicative_invariant):
+        with pytest.raises(ResourceCapError):
+            evaluate(s, b)
+    assert trace_invariant(s, b, allow_large=True).value == want
+    assert normalized_invariant(s, b, allow_large=True).value == want * P_FACTORS["type1"]
+    assert multiplicative_invariant(s, b, allow_large=True).value == want / 2
+    # the float-range refusal holds whatever allow_large says
     with pytest.raises(ResourceCapError):
-        trace_invariant(s, unlink(11))
-    big = trace_invariant(s, unlink(11), allow_large=True)
-    assert big.value == pytest.approx(2.0**12, abs=1e-6)
+        trace_invariant(s, unlink(1100), allow_large=True)
 
 
 def test_result_fields():

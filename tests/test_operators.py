@@ -20,7 +20,7 @@ from gyblink.operators import (
     verify_gybe,
     write_operator_file,
 )
-from gyblink.tensorops import dagger, identity, matrices_close, max_abs
+from gyblink.tensorops import dagger, identity, max_abs
 
 SQ2 = np.sqrt(2.0)
 ALPHA = np.exp(1j * np.pi / 4)
@@ -105,6 +105,14 @@ def test_outer_diagonal_counterexamples():
         check_outer_diagonal(build_r232())
 
 
+def test_outer_diagonal_rejects_nan():
+    # a NaN where the outer indices differ is not a vanishing entry
+    r = identity(8)
+    r[0, 7] = np.nan
+    op = GybOperator(GybType(2, 3, 1), r, identity(8), "nan")
+    assert not check_outer_diagonal(op)
+
+
 def test_mislabeled_r232_fails_far_commutativity():
     # its braid-relation residual is ~1e-16, so the distant-commutation
     # axiom is what actually rejects the (2,3,1) labeling
@@ -144,8 +152,8 @@ def test_traces_do_not_depend_on_theta():
 def test_inverse_is_cached_and_consistent():
     for build in FAMILIES:
         op = build(2.0)
-        assert matrices_close(op.r @ op.r_inv, identity(8), 1e-12)
-        assert matrices_close(op.r_inv, dagger(op.r), 1e-12)
+        assert max_abs(op.r @ op.r_inv - identity(8)) <= 1e-12
+        assert max_abs(op.r_inv - dagger(op.r)) <= 1e-12
 
 
 def test_theta_outside_range_warns():
@@ -154,6 +162,13 @@ def test_theta_outside_range_warns():
     assert unitarity_residual(op) < 1e-12
     with pytest.warns(RuntimeWarning):
         build_type3(-0.1)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_nonfinite_theta_is_rejected(theta):
+    for build in FAMILIES:
+        with pytest.raises(GybError, match="finite"):
+            build(theta)
 
 
 def test_build_operator_dispatch():
@@ -188,7 +203,7 @@ def test_operator_file_round_trip(tmp_path):
     assert isinstance(loaded, GybOperator)
     assert loaded.gtype == GybType(2, 3, 1)
     assert loaded.theta is None
-    assert matrices_close(loaded.r, original.r, 0)
+    assert max_abs(loaded.r - original.r) == 0
     assert build_operator(f"custom:{path}").op_id == "custom"
 
 

@@ -9,7 +9,7 @@ from gyblink.errors import ResourceCapError, ShapeError
 from gyblink.invariant import markov_check, trace_invariant
 from gyblink.operators import build_operator, build_r232, build_type1
 from gyblink.rep import (
-    DIM_CAP,
+    PEAK_CAP,
     SWEEP_GATE,
     TRACE_CHUNK,
     _contract,
@@ -40,15 +40,41 @@ def test_context_dimensions():
         make_context(op, 0)
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
+    # the cap bounds the largest array a trace holds, not the dimension
     op = build_type1(0.0)
-    assert make_context(op, 10).dim == DIM_CAP
-    with pytest.raises(ResourceCapError):
-        make_context(op, 11)
-    big = make_context(op, 11, allow_large=True)
-    assert big.dim == 4096
-    with pytest.raises(ResourceCapError):
-        make_context(build_r232(), 7)
+    ctx = make_context(op, 11)
+    assert ctx.dim == 4096
+    assert trace_with_weight(ctx, BraidWord(11, ())) == 4096
+    b = random_braid(11, 20, seed=3)
+    want = trace_with_weight(ctx, b)
+    monkeypatch.setattr("gyblink.rep.PEAK_CAP", 64)
+    with pytest.raises(ResourceCapError, match="allow_large"):
+        trace_with_weight(ctx, b)
+    assert trace_with_weight(ctx, b, allow_large=True) == want
+    # no word on these strand counts has a finite dimension to report
+    for n, wide in ((1100, op), (300000000, op), (600, build_r232())):
+        with pytest.raises(ResourceCapError, match="overflows a float"):
+            make_context(wide, n)
+    assert make_context(op, 1021).dim == 2**1022
+
+
+def test_plan_over_the_cap_takes_the_sweep(monkeypatch):
+    # a plan whose largest tensor exceeds PEAK_CAP is not run when the
+    # sweep fits, even though it needs fewer multiply-adds
+    ctx = make_context(build_type1(0.6), 9)
+    b = random_braid(9, 30, seed=23)
+
+    def wide_plan(legs, d):
+        steps, flops, _ = _greedy_plan(legs, d)
+        return steps, flops, PEAK_CAP + 1
+
+    def refuse(*args):
+        raise AssertionError("the network path ran")
+
+    monkeypatch.setattr("gyblink.rep._greedy_plan", wide_plan)
+    monkeypatch.setattr("gyblink.rep._contract", refuse)
+    assert trace_with_weight(ctx, b) == _sweep(ctx, b, [])
 
 
 def test_rep_apply_identity_and_cancellation():
@@ -147,15 +173,6 @@ def test_trace_matches_dense():
         assert trace_with_weight(ctx, b, blocks) == pytest.approx(np.trace(dense @ full), abs=1e-10)
 
 
-def test_trace_chunk_invariance():
-    op = build_r232()
-    ctx = make_context(op, 4)
-    b = random_braid(4, 8, seed=17)
-    full = trace_with_weight(ctx, b)
-    assert trace_with_weight(ctx, b, chunk=1) == pytest.approx(full, abs=1e-10)
-    assert trace_with_weight(ctx, b, chunk=7) == pytest.approx(full, abs=1e-10)
-
-
 def test_trace_block_validation():
     op = build_type1(0.0)
     ctx = make_context(op, 3)
@@ -189,7 +206,7 @@ def _forced_traces(ctx, b, blocks):
     # Both evaluators on the same word, bypassing the cost-based choice.
     placed = _place_blocks(ctx, blocks)
     network = _network(ctx, b, placed)
-    steps, _ = _greedy_plan(network[1], ctx.op.gtype.d)
+    steps, _, _ = _greedy_plan(network[1], ctx.op.gtype.d)
     return _sweep(ctx, b, placed), _contract(network, steps)
 
 
@@ -230,14 +247,20 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
     ctx = make_context(build_r232(), 4)
     b = random_braid(4, 60, seed=2)
     sweep_cost = ctx.dim**2 * (1 + len(b) * ctx.op.gtype.dim)
-    _, flops = _greedy_plan(_network(ctx, b, [])[1], 2)
+    _, flops, _ = _greedy_plan(_network(ctx, b, [])[1], 2)
     assert sweep_cost >= SWEEP_GATE and flops >= sweep_cost
 
     def refuse(*args):
         raise AssertionError("the network path ran")
 
     monkeypatch.setattr("gyblink.rep._contract", refuse)
-    assert trace_with_weight(ctx, b) == _sweep(ctx, b, [])
+    want = _sweep(ctx, b, [])
+    assert trace_with_weight(ctx, b) == want
+    # with the cap lifted the cheaper sweep still runs, though its array is over the cap
+    monkeypatch.setattr("gyblink.rep.PEAK_CAP", 64)
+    with pytest.raises(ResourceCapError):
+        trace_with_weight(ctx, b)
+    assert trace_with_weight(ctx, b, allow_large=True) == want
 
 
 @pytest.mark.parametrize("name", ["type1", "type2", "type3", "r232"])
@@ -245,7 +268,7 @@ def test_wide_words_past_the_cap(name):
     s = catalog_enhancement(name, 0.3)
     unknot = trace_invariant(s, BraidWord(1, ())).value
     for n in (24, 40):
-        got = trace_invariant(s, BraidWord(n, tuple(range(1, n))), allow_large=True).value
+        got = trace_invariant(s, BraidWord(n, tuple(range(1, n)))).value
         assert abs(got - unknot) <= 1e-9 * abs(unknot)
     b = random_braid(24, 20, seed=29)
-    assert markov_check(s, b, trials=3, seed=31, allow_large=True) <= 1e-9
+    assert markov_check(s, b, trials=3, seed=31) <= 1e-9

@@ -8,7 +8,8 @@ error, 3 resource cap.
 
 JSON output is schema-versioned and canonical (sorted keys, no spaces),
 so identical inputs with identical seeds produce byte-identical bytes.
-The default tolerance is read from ``GYBLINK_TOLERANCE`` when set.
+``verify`` and ``suite`` read their default tolerance from
+``GYBLINK_TOLERANCE`` when set.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -53,7 +55,7 @@ from .operators import (
 SCHEMA_VERSION = 1
 
 
-def _resolve_tolerance(args) -> None:
+def _resolve_tolerance(args) -> float:
     # --tolerance wins over GYBLINK_TOLERANCE; whichever is used must be finite
     source, text = "--tolerance", args.tolerance
     if text is None:
@@ -64,7 +66,14 @@ def _resolve_tolerance(args) -> None:
         tol = math.nan
     if not math.isfinite(tol):
         raise GybError(f"{source} must be a finite number, got {text!r}")
-    args.tolerance = tol
+    return tol
+
+
+def _seed(text: str) -> int:
+    # numpy's generators take only non-negative integer seeds
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _dumps(payload) -> str:
@@ -139,7 +148,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = args.tolerance
+    tol = _resolve_tolerance(args)
     theta = _resolve_theta(args)
     op = build_operator(args.operator, theta)
     g = op.gtype
@@ -235,6 +244,7 @@ def _random_word(rng, n_lo: int, n_hi: int, max_len: int):
 
 
 def cmd_suite(args) -> int:
+    tol = _resolve_tolerance(args)
     if args.trials < 1:
         raise GybError(f"--trials must be at least 1, got {args.trials}")
     names = [args.operator] if args.operator else list(CATALOG_IDS)
@@ -242,13 +252,13 @@ def cmd_suite(args) -> int:
         if name not in CATALOG_IDS:
             raise GybError(f"suite runs on catalog operators only, got {name!r}")
     rows = _suite_rows(names, args.trials, args.seed)
-    ok = all(residual <= args.tolerance for _, _, residual in rows)
+    ok = all(residual <= tol for _, _, residual in rows)
     if args.output == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "trials": args.trials,
             "seed": args.seed,
-            "tolerance": args.tolerance,
+            "tolerance": tol,
             "relations": [
                 {"operator": op, "relation": rel, "residual": res} for op, rel, res in rows
             ],
@@ -258,7 +268,7 @@ def cmd_suite(args) -> int:
     else:
         for op, rel, res in rows:
             print(f"{op:12s} {rel:18s} max residual {res:.3e}")
-        print(f"{'PASS' if ok else 'FAIL'} (tolerance {args.tolerance:g})")
+        print(f"{'PASS' if ok else 'FAIL'} (tolerance {tol:g})")
     return 0 if ok else 1
 
 
@@ -268,62 +278,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Link invariants from enhanced generalized Yang-Baxter operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    compute = sub.add_parser("compute", help="evaluate an invariant of one closed braid")
+    verify = sub.add_parser("verify", help="check operator identities and enhancement evidence")
+    suite = sub.add_parser("suite", help="sweep the invariant relations over random braids")
 
-    def common(p, operator_required: bool):
-        p.add_argument(
-            "--operator",
-            required=operator_required,
-            help="catalog id (type1, type2, type3, r232) or custom:<path>",
-        )
-        p.add_argument("--theta", type=float, default=None, help="family parameter, default 0")
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=None,
-            help="absolute tolerance (default from GYBLINK_TOLERANCE or 1e-9)",
-        )
+    for p in (compute, verify, suite):
+        p.add_argument("--operator", required=p is not suite,
+                       help="catalog id (type1, type2, type3, r232) or custom:<path>")
         p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--allow-large", action="store_true", help="lift the cap on the largest array a "
-                       "trace holds; a dimension that overflows a float is still refused")
+    for p in (compute, verify):
+        p.add_argument("--theta", type=float, default=None, help="family parameter, default 0")
+    for p in (verify, suite):
+        p.add_argument("--tolerance", type=float, default=None,
+                       help="absolute tolerance (default from GYBLINK_TOLERANCE or 1e-9)")
+        p.add_argument("--seed", type=_seed, default=0)
 
-    p = sub.add_parser("compute", help="evaluate an invariant of one closed braid")
-    common(p, True)
-    p.add_argument("--braid", required=True, help="braid word text or a catalog link name")
-    p.add_argument("--strands", type=int, default=None)
-    p.add_argument("--normalization", choices=("raw", "P", "tilde"), default="raw")
-    p.add_argument("--catalog-file", default=None, help="extra links, one name<TAB>strands<TAB>word per line")
-    p.add_argument("--alpha", default=None, help="writhe weight for custom operators, e.g. '0.707+0.707i'")
-    p.add_argument("--beta", default=None, help="strand weight for custom operators")
-    p.set_defaults(func=cmd_compute)
+    compute.add_argument("--braid", required=True, help="braid word text or a catalog link name")
+    compute.add_argument("--strands", type=int, default=None)
+    compute.add_argument("--normalization", choices=("raw", "P", "tilde"), default="raw")
+    compute.add_argument("--catalog-file", default=None, help="extra links, one name<TAB>strands<TAB>word per line")
+    compute.add_argument("--alpha", default=None, help="writhe weight for custom operators, e.g. '0.707+0.707i'")
+    compute.add_argument("--beta", default=None, help="strand weight for custom operators")
+    compute.add_argument("--allow-large", action="store_true", help="lift the cap on the largest array a "
+                         "trace holds; a dimension that overflows a float is still refused")
+    suite.add_argument("--trials", type=int, default=25, help="random braids per relation")
 
-    p = sub.add_parser("verify", help="check operator identities and enhancement evidence")
-    common(p, True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("suite", help="sweep the invariant relations over random braids")
-    common(p, False)
-    p.add_argument("--trials", type=int, default=25, help="random braids per relation")
-    p.set_defaults(func=cmd_suite)
-
+    compute.set_defaults(func=cmd_compute)
+    verify.set_defaults(func=cmd_verify)
+    suite.set_defaults(func=cmd_suite)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        _resolve_tolerance(args)
-        return args.func(args)
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GybError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # one line per warning, without the library's file and source line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (GybError, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3 if isinstance(exc, ResourceCapError) else 2
 
 
 def run() -> None:

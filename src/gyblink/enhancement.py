@@ -126,13 +126,12 @@ def acts_offdiagonally_on_last(g, shape: TensorShape, tol: float = DEFAULT_TOL) 
     return all(max_abs(t[:, l, :, l]) <= tol for l in range(shape.d))
 
 
-def sampled_perpendicularity(s: Enhancement, n: int, samples: int = 100,
-                             max_len: int = 12, seed: int = 0) -> float:
+def sampled_perpendicularity(s: Enhancement, n: int, samples: int = 100, seed: int = 0) -> float:
     """Largest sampled trace against the padded defects on ``n`` strands.
 
     Pads each defect with ``mu`` factors to the full representation space,
     then measures ``|tr(rho(b) . pad)|`` over seeded random braid words of
-    length 1..max_len for both defect signs.
+    length 1..12 for both defect signs.
     """
     if n < 2:
         raise ShapeError(f"sampling needs at least 2 strands, got {n}")
@@ -145,20 +144,19 @@ def sampled_perpendicularity(s: Enhancement, n: int, samples: int = 100,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        length = int(rng.integers(1, max_len + 1))
+        length = int(rng.integers(1, 13))
         b = random_braid(n, length, rng)
         for blocks in pads:
             worst = max(worst, abs(rep.trace_with_weight(ctx, b, blocks)))
     return worst
 
 
-def enhancement_report(s: Enhancement, tol: float = DEFAULT_TOL,
-                       sample_strands=(2, 3, 4), samples: int = 100,
-                       max_len: int = 12, seed: int = 0) -> EnhancementReport:
+def enhancement_report(s: Enhancement, tol: float = DEFAULT_TOL, seed: int = 0) -> EnhancementReport:
     """Grade the orthogonality evidence for an enhancement.
 
-    Runs the structural checks and the sampled check and combines them
-    into a verdict; see the module docstring for the grading order.
+    Runs the structural checks and the sampled check (100 words on each of
+    2, 3 and 4 strands) and combines them into a verdict; see the module
+    docstring for the grading order.
     """
     g = s.op.gtype
     cond = condition_i_residual(s.op, s.mu)
@@ -169,9 +167,7 @@ def enhancement_report(s: Enhancement, tol: float = DEFAULT_TOL,
         s.defect_minus, dshape, tol
     )
     outer = check_outer_diagonal(s.op, tol) if (g.k, g.m) == (3, 1) else None
-    sampled = 0.0
-    for n in sample_strands:
-        sampled = max(sampled, sampled_perpendicularity(s, n, samples, max_len, seed))
+    sampled = max(sampled_perpendicularity(s, n, seed=seed) for n in (2, 3, 4))
     if plus_norm <= tol and minus_norm <= tol:
         verdict = "strong"
     elif outer is True and offdiag:

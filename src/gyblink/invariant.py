@@ -143,13 +143,13 @@ def multiplicativity_check(s: Enhancement, b1: BraidWord, b2: BraidWord) -> floa
     return abs(t12 - s.mu_trace ** (2 * g.m - g.k) * t1 * t2)
 
 
-def cross_operator_check(b: BraidWord, theta: float = 0.0,
-                         s3: Enhancement | None = None, s232: Enhancement | None = None) -> float:
+def cross_operator_check(b: BraidWord, s3: Enhancement | None = None, s232: Enhancement | None = None) -> float:
     """Residual of the identity (1/4) T_type3 = T_r232 on the same closure.
 
-    Prebuilt enhancements can be passed to avoid rebuilding in loops.
+    Prebuilt enhancements can be passed to avoid rebuilding in loops; the
+    defaults are ``type3`` at theta 0 and ``r232``.
     """
-    s3 = catalog_enhancement("type3", theta) if s3 is None else s3
+    s3 = catalog_enhancement("type3") if s3 is None else s3
     s232 = catalog_enhancement("r232") if s232 is None else s232
     v3 = trace_invariant(s3, b).value
     v232 = trace_invariant(s232, b).value

@@ -13,6 +13,7 @@ by 1/sqrt(2), and one fixed type (2, 3, 2) operator ``r232``.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -73,8 +74,9 @@ class GybOperator:
 
 def _checked_theta(theta: float) -> float:
     theta = float(theta)
-    if not math.isfinite(theta):
-        raise GybError(f"theta must be a finite number, got {theta}")
+    # the matrices hold exp(2i theta), which is NaN once 2 theta overflows
+    if not math.isfinite(2 * theta):
+        raise GybError(f"theta must be a finite number below 2**1023 in magnitude, got {theta}")
     if not 0.0 <= theta <= np.pi:
         warnings.warn(
             f"theta={theta} lies outside [0, pi]; the matrices stay well defined",
@@ -212,29 +214,34 @@ def read_operator_file(path) -> GybOperator:
     """Read an operator file.
 
     Layout: first non-blank line is ``d k m``; the next ``d**k`` lines each
-    hold ``d**k`` whitespace-separated complex entries in ``a+bi`` form,
-    one matrix row per line.
+    hold ``d**k`` whitespace-separated finite complex entries in ``a+bi``
+    form, one matrix row per line. Text from ``#`` to the end of a line is
+    a comment.
     """
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    numbered = enumerate(Path(path).read_text().splitlines(), start=1)
+    lines = [(n, toks) for n, ln in numbered if (toks := ln.split("#", 1)[0].split())]
     if not lines:
         raise OperatorFileError(f"{path}: empty operator file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise OperatorFileError(f"{path}: first line must be 'd k m', got {lines[0]!r}")
+    lineno, head = lines[0]
     try:
         d, k, m = (int(x) for x in head)
     except ValueError:
-        raise OperatorFileError(f"{path}: first line must be 'd k m', got {lines[0]!r}") from None
+        raise OperatorFileError(f"{path}:{lineno}: first line must be 'd k m', got {' '.join(head)!r}") from None
     gtype = GybType(d, k, m)
     dim = gtype.dim
     if len(lines) - 1 != dim:
         raise OperatorFileError(f"{path}: expected {dim} matrix rows, found {len(lines) - 1}")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        toks = line.split()
+    for lineno, toks in lines[1:]:
         if len(toks) != dim:
             raise OperatorFileError(f"{path}:{lineno}: expected {dim} entries, found {len(toks)}")
-        rows.append([parse_scalar(t) for t in toks])
+        try:
+            row = [parse_scalar(t) for t in toks]
+        except OperatorFileError as exc:
+            raise OperatorFileError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(cmath.isfinite, row)):
+            raise OperatorFileError(f"{path}:{lineno}: matrix entries must be finite")
+        rows.append(row)
     return load_custom(np.array(rows, dtype=np.complex128), gtype)
 
 

@@ -9,9 +9,9 @@ the cached inverse. The full representation matrix is never materialized.
 The weighted trace of a closed braid has two evaluators, chosen per call
 from the word and the context alone:
 
-* the column sweep pushes every basis column through every letter. It
-  costs ``L d^k dim^2`` multiply-adds for ``L`` letters and holds
-  ``dim * min(dim, TRACE_CHUNK)`` elements at once, so small words (under
+* the column sweep pushes the whole ``dim x dim`` identity through every
+  letter in one pass. It costs ``L d^k dim^2`` multiply-adds for ``L``
+  letters and holds ``dim^2`` elements at once, so small words (under
   ``SWEEP_GATE``) always take it.
 * the network path treats each letter and weight block as a tensor,
   closes each factor's wire onto itself and contracts the network pairwise
@@ -22,9 +22,9 @@ from the word and the context alone:
 those whose largest array fits ``PEAK_CAP`` and raises ResourceCapError
 when none fits, unless ``allow_large`` lifts the cap.
 
-Both are deterministic: the sweep chunks columns in index order and the
-plan breaks cost ties on tensor ids, so one word always takes the same
-path with the same floating-point order.
+Both are deterministic: the sweep is one fixed sequence of array
+operations and the plan breaks cost ties on tensor ids, so one word
+always takes the same path with the same floating-point order.
 
 Word order: the first letter of a word acts first on states, so a word
 maps to the composition of its letters read right to left.
@@ -43,10 +43,6 @@ from .errors import ResourceCapError, ShapeError
 from .operators import GybOperator
 from .tensorops import TensorShape, identity, tensor_embed
 
-#: Basis columns are processed in fixed chunks of this many vectors, in
-#: index order, so trace sums are reproducible run to run.
-TRACE_CHUNK = 1024
-
 #: Column-sweep cost, in multiply-adds, below which a trace never plans a
 #: network: planning and per-step overhead, tens of microseconds per tensor,
 #: outweigh the sweep on small words. Measured on a 2-CPU x86-64 host
@@ -56,9 +52,9 @@ TRACE_CHUNK = 1024
 SWEEP_GATE = 1 << 20
 
 #: Largest array, in complex elements, a trace may hold without
-#: ``allow_large``: the column sweep's ``dim * TRACE_CHUNK`` at dimension
-#: 2048 (32 MiB), so every word of dimension 2048 or less still evaluates.
-PEAK_CAP = 1 << 21
+#: ``allow_large``: the column sweep's ``dim^2`` at dimension 2048 (64 MiB),
+#: so every word of dimension 2048 or less still evaluates.
+PEAK_CAP = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,19 +151,16 @@ def _place_blocks(ctx: RepContext, blocks) -> list[tuple[np.ndarray, int, int]]:
     return placed
 
 
-def _sweep(ctx: RepContext, b: BraidWord, placed, chunk: int = TRACE_CHUNK) -> complex:
+def _sweep(ctx: RepContext, b: BraidWord, placed) -> complex:
     # Push every basis column through the weight blocks and the letters.
     d = ctx.op.gtype.d
-    total = 0.0 + 0.0j
-    for c0 in range(0, ctx.dim, chunk):
-        c1 = min(c0 + chunk, ctx.dim)
-        state = np.eye(ctx.dim, c1 - c0, -c0, dtype=np.complex128)
-        for mat, pos, span in placed:
-            state = _apply_block(mat, pos, d**span, state, d)
-        for g in b.letters:
-            state = apply_letter(ctx, g, state)
-        total += np.trace(state[c0:c1, :])
-    return complex(total)
+    state = np.eye(ctx.dim, dtype=np.complex128)
+    for mat, pos, span in placed:
+        state = _apply_block(mat, pos, d**span, state, d)
+    for g in b.letters:
+        state = apply_letter(ctx, g, state)
+    # adding to +0 turns a -0.0 trace into 0.0, as values have always read
+    return complex(0.0 + 0.0j + np.trace(state))
 
 
 def _network(ctx: RepContext, b: BraidWord, placed):
@@ -304,7 +297,7 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
     placed = _place_blocks(ctx, blocks)
     t = ctx.op.gtype
     sweep_cost = ctx.dim**2 * (1 + len(b) * t.dim + sum(t.d**span for _, _, span in placed))
-    sweep_peak = ctx.dim * min(ctx.dim, TRACE_CHUNK)
+    sweep_peak = ctx.dim**2
     sweep_fits = allow_large or sweep_peak <= PEAK_CAP
     if sweep_cost >= SWEEP_GATE or not sweep_fits:
         network = _network(ctx, b, placed)

@@ -326,11 +326,14 @@ def test_suite_rejects_nonpositive_trials(capsys, trials):
 @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf"])
 def test_tolerance_env_must_be_finite(capsys, monkeypatch, value):
     monkeypatch.setenv("GYBLINK_TOLERANCE", value)
-    for argv in (("verify", "--operator", "type1"), ("compute", "--operator", "type1", "--braid", "trefoil")):
+    for argv in (("verify", "--operator", "type1"), ("suite", "--operator", "type1", "--trials", "1")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: GYBLINK_TOLERANCE") and len(err.splitlines()) == 1
+    # compute compares no residuals, so it never reads the variable
+    code, out, err = run_cli(capsys, "compute", "--operator", "type1", "--braid", "trefoil")
+    assert code == 0 and "value (raw): -8" in out and err == ""
     # an explicit --tolerance overrides the bad default
     code, payload, _ = run_json(capsys, "verify", "--operator", "type1", "--tolerance", "0.01")
     assert code == 0
@@ -343,6 +346,69 @@ def test_tolerance_flag_must_be_finite(capsys, value):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --tolerance") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--operator", "type1", "--braid", "trefoil", "--seed", "1"),
+    ("compute", "--operator", "type1", "--braid", "trefoil", "--tolerance", "1"),
+    ("verify", "--operator", "type1", "--allow-large"),
+    ("suite", "--trials", "1", "--allow-large"),
+    ("suite", "--trials", "1", "--theta", "1"),
+    ("verify", "--operator", "type1", "--seed", "-1"),
+    ("suite", "--trials", "1", "--seed", "x"),
+])
+def test_unread_or_bad_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", [("compute", "--braid", "trefoil"), ("verify",)])
+def test_theta_outside_the_range_warns_once(capsys, command):
+    code, out, err = run_cli(capsys, command[0], "--operator", "type1", *command[1:], "--theta=1e20")
+    assert code == 0 and out
+    assert err.startswith("warning: theta=1e+20") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("theta", ["-1.7976931348623157e308", "1e308"])
+@pytest.mark.parametrize("command", [("compute", "--braid", "trefoil"), ("verify",)])
+def test_theta_past_the_float_range_of_exp_exits_2(capsys, command, theta):
+    # finite, but exp(2i theta) is NaN
+    code, out, err = run_cli(capsys, command[0], "--operator", "type2", *command[1:], f"--theta={theta}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: theta") and len(err.splitlines()) == 1
+
+
+@st.composite
+def check_argv(draw):
+    command = draw(st.sampled_from(("verify", "suite")))
+    seed = draw(st.one_of(st.integers(-3, 3), st.integers(0, 2**70)))
+    argv = [command, "--operator", "type1", "--output", "json", f"--seed={seed}"]
+    if draw(st.booleans()):
+        argv.append(f"--tolerance={draw(st.one_of(st.floats().map(repr), st.text(max_size=6)))}")
+    if command == "verify":
+        argv.append(f"--theta={draw(st.floats())!r}")
+    else:
+        argv.append(f"--trials={draw(st.integers(-2, 2))}")
+    return argv
+
+
+@settings(max_examples=30, deadline=None)
+@given(check_argv())
+def test_check_fuzz_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""
 
 
 def test_help_ignores_bad_tolerance_env(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,25 @@ def test_operator_file_errors(tmp_path):
     path.write_text("2 2 1\n" + rows + "\n")
     with pytest.raises(OperatorFileError):
         read_operator_file(path)  # short rows
+
+
+def test_operator_file_comments(tmp_path):
+    path = tmp_path / "op.mat"
+    original = build_type3(0.5)
+    write_operator_file(path, original)
+    head, *rows = path.read_text().splitlines()
+    rows[3] += "  # fourth row"
+    path.write_text("\n".join(["# type3 at theta 0.5", "", head + " # d k m", "#", *rows]) + "\n")
+    assert max_abs(read_operator_file(path).r - original.r) == 0
+
+
+@pytest.mark.parametrize("entry, reason", [
+    ("nan", "must be finite"), ("1e999+0i", "must be finite"), ("0-1e400i", "must be finite"),
+    ("inf", "bad complex scalar"),
+])
+def test_operator_file_entry_errors_name_the_line(tmp_path, entry, reason):
+    path = tmp_path / "op.mat"
+    rows = ["1+0i 0+0i 0+0i 0+0i", "0+0i 1+0i 0+0i 0+0i", f"0+0i 0+0i {entry} 0+0i", "0+0i 0+0i 0+0i 1+0i"]
+    path.write_text("# identity with one bad entry\n2 2 1\n\n" + "\n".join(rows) + "\n")
+    with pytest.raises(OperatorFileError, match=re.escape(f"{path}:6: ") + f".*{reason}"):
+        read_operator_file(path)

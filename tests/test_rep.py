@@ -11,7 +11,6 @@ from gyblink.operators import build_operator, build_r232, build_type1
 from gyblink.rep import (
     PEAK_CAP,
     SWEEP_GATE,
-    TRACE_CHUNK,
     _contract,
     _greedy_plan,
     _network,
@@ -185,23 +184,6 @@ def test_trace_block_validation():
         trace_with_weight(ctx, parse_braid("1", 2), None)
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_sweep_chunk_invariance(n):
-    # the sweep's chunked column reduction, called directly: r232 words on
-    # 4 and 5 strands cost more than SWEEP_GATE, so trace_with_weight plans them
-    rng = np.random.default_rng(19)
-    ctx = make_context(build_r232(), n)
-    b = random_braid(n, 8, seed=17)
-    mu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    for blocks in (None, [(mu, 1)] * ctx.factors):
-        placed = _place_blocks(ctx, blocks)
-        full = _sweep(ctx, b, placed, chunk=TRACE_CHUNK)
-        assert _sweep(ctx, b, placed, chunk=TRACE_CHUNK) == full
-        for chunk in (1, 7, 100):
-            assert _sweep(ctx, b, placed, chunk=chunk) == pytest.approx(full, rel=1e-12, abs=1e-10)
-        assert trace_with_weight(ctx, b, blocks) == pytest.approx(full, rel=1e-12, abs=1e-10)
-
-
 def _forced_traces(ctx, b, blocks):
     # Both evaluators on the same word, bypassing the cost-based choice.
     placed = _place_blocks(ctx, blocks)
@@ -239,6 +221,21 @@ def test_network_path_is_deterministic(monkeypatch):
     first = trace_with_weight(ctx, b)
     assert trace_with_weight(ctx, b) == first
     assert abs(first - swept) <= 1e-12 * abs(swept)
+
+
+def test_plan_at_the_cap_stays_on_the_network(monkeypatch):
+    # a 69-letter r232 word at dimension 2048 whose greedy plan peaks at
+    # exactly PEAK_CAP: the plan runs, not the ten times slower sweep
+    ctx = make_context(build_r232(), 6)
+    b = random_braid(6, 69, seed=1)
+    assert _greedy_plan(_network(ctx, b, [])[1], 2)[2] == PEAK_CAP
+
+    def refuse(*args):
+        raise AssertionError("the column sweep ran")
+
+    monkeypatch.setattr("gyblink.rep._sweep", refuse)
+    # the swept value, pinned because the sweep takes about 3 s on this word
+    assert abs(trace_with_weight(ctx, b) - 1.0568874608029391e-14) <= 1e-10
 
 
 def test_costly_plan_falls_back_to_sweep(monkeypatch):

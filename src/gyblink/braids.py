@@ -184,10 +184,15 @@ def resolve_braid(text: str, strands: int | None = None, catalog: dict[str, Name
 def load_catalog_file(path) -> dict[str, NamedLink]:
     """Read a link catalog: one ``name<TAB>strands<TAB>word`` record per line.
 
-    Blank lines and lines starting with ``#`` are skipped.
+    Blank lines and lines starting with ``#`` are skipped. The file must be
+    UTF-8.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise BraidParseError(f"{path}: link catalogs must be UTF-8 text") from None
     links: dict[str, NamedLink] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")

@@ -24,12 +24,7 @@ import warnings
 import numpy as np
 
 from .braids import LINKS, closure_components, format_braid, load_catalog_file, resolve_braid
-from .enhancement import (
-    CATALOG_WEIGHTS,
-    catalog_enhancement,
-    enhancement_report,
-    make_enhancement,
-)
+from .enhancement import CATALOG_WEIGHTS, enhancement_report, make_enhancement
 from .errors import GybError, ResourceCapError
 from .invariant import (
     cross_operator_check,
@@ -84,39 +79,43 @@ def _fmt_value(z: complex) -> str:
     return f"{z.real:.10g}{z.imag:+.10g}i"
 
 
-def _takes_theta(name: str) -> bool:
-    return name in ("type1", "type2", "type3")
+def _ignored(options, what: str) -> None:
+    for option in options:
+        print(f"warning: {option} is ignored for {what}", file=sys.stderr)
 
 
-def _resolve_theta(args) -> float:
-    if args.theta is None:
-        return 0.0
-    if not math.isfinite(args.theta):
-        raise GybError(f"--theta must be a finite number, got {args.theta}")
-    if not _takes_theta(args.operator):
-        print(f"warning: theta is ignored for operator {args.operator}", file=sys.stderr)
-    return args.theta
+def _resolve(name: str, theta: float | None = None, alpha: str | None = None, beta: str | None = None):
+    """Build operator ``name`` at ``theta`` (default 0) and enhance it.
 
-
-def _enhancement_for(args):
-    name = args.operator
-    theta = _resolve_theta(args)
-    if name in CATALOG_WEIGHTS:
-        return catalog_enhancement(name, theta)
-    if name.startswith("custom:"):
-        if args.alpha is None or args.beta is None:
-            raise GybError("custom operators need explicit --alpha and --beta weights")
-        op = build_operator(name)
-        return make_enhancement(op, None, parse_scalar(args.alpha), parse_scalar(args.beta))
-    raise GybError(f"unknown operator {name!r}; expected one of {CATALOG_IDS} or custom:<path>")
+    A catalog id takes its published weights, any other operator the given
+    ``alpha`` and ``beta``; without weights the enhancement is None.
+    Returns the operator, the enhancement and the names of the given values
+    that the result does not read.
+    """
+    if theta is not None and not math.isfinite(theta):
+        raise GybError(f"--theta must be a finite number, got {theta}")
+    op = build_operator(name, 0.0 if theta is None else theta)
+    unread = ["theta"] if theta is not None and op.theta is None else []
+    given = [key for key, value in (("alpha", alpha), ("beta", beta)) if value is not None]
+    weights = CATALOG_WEIGHTS.get(name)
+    if weights is not None and given:
+        unread.append("/".join(given))
+    elif weights is None and len(given) == 2:
+        weights = parse_scalar(alpha), parse_scalar(beta)
+    return op, None if weights is None else make_enhancement(op, None, *weights), unread
 
 
 def cmd_compute(args) -> int:
-    s = _enhancement_for(args)
+    _, s, unread = _resolve(args.operator, args.theta, args.alpha, args.beta)
+    _ignored(unread, f"operator {args.operator}")
+    if s is None:
+        raise GybError("custom operators need explicit --alpha and --beta weights")
     catalog = dict(LINKS)
     if args.catalog_file:
         catalog.update(load_catalog_file(args.catalog_file))
     b = resolve_braid(args.braid, args.strands, catalog)
+    if args.strands not in (None, b.strands):
+        _ignored(["strands"], f"catalog link {args.braid.strip()} on {b.strands} strands")
     if args.normalization == "raw":
         result = trace_invariant(s, b, args.allow_large)
     elif args.normalization == "P":
@@ -149,8 +148,8 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _resolve_tolerance(args)
-    theta = _resolve_theta(args)
-    op = build_operator(args.operator, theta)
+    op, s, unread = _resolve(args.operator, args.theta)
+    _ignored(unread, f"operator {args.operator}")
     g = op.gtype
     checks = {
         "unitarity": unitarity_residual(op),
@@ -158,11 +157,7 @@ def cmd_verify(args) -> int:
         "far_commutation": verify_far_commutativity(op),
     }
     outer = check_outer_diagonal(op, tol) if (g.k, g.m) == (3, 1) else None
-    report = None
-    if op.op_id in CATALOG_WEIGHTS:
-        alpha, beta = CATALOG_WEIGHTS[op.op_id]
-        s = make_enhancement(op, None, alpha, beta)
-        report = enhancement_report(s, tol, seed=args.seed)
+    report = None if s is None else enhancement_report(s, tol, seed=args.seed)
     ok = checks["braid_relation"] <= tol and checks["far_commutation"] <= tol
     if report is not None:
         ok = ok and checks["unitarity"] <= tol and report.verdict != "failed"
@@ -205,10 +200,9 @@ def cmd_verify(args) -> int:
 
 def _suite_rows(names, trials: int, seed: int):
     rng = np.random.default_rng(seed)
-    rows = []
+    rows, enhanced = [], {}
     for name in names:
-        theta = 0.4 if _takes_theta(name) else 0.0
-        s = catalog_enhancement(name, theta)
+        s = enhanced[name] = _resolve(name, 0.4)[1]
         worst = 0.0
         for _ in range(trials):
             b = _random_word(rng, 2, 4, 8)
@@ -226,9 +220,8 @@ def _suite_rows(names, trials: int, seed: int):
             for _ in range(trials)
         )
         rows.append((name, "multiplicativity", worst))
-    if "type3" in names and "r232" in names:
-        s3 = catalog_enhancement("type3", 0.4)
-        s232 = catalog_enhancement("r232")
+    if "type3" in enhanced and "r232" in enhanced:
+        s3, s232 = enhanced["type3"], enhanced["r232"]
         worst = max(
             cross_operator_check(_random_word(rng, 2, 4, 8), s3=s3, s232=s232) for _ in range(trials)
         )
@@ -317,7 +310,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             return args.func(args)
-        except (GybError, FileNotFoundError) as exc:
+        except (GybError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3 if isinstance(exc, ResourceCapError) else 2
 

@@ -92,15 +92,15 @@ def make_enhancement(op: GybOperator, mu=None, alpha: complex = 1.0, beta: compl
     """Validate enhancement data and cache the two defects.
 
     ``mu`` defaults to the identity. Raises EnhancementError when ``mu`` is
-    not invertible, a scalar is zero or not finite, or the commutation
-    residual is not within ``tol``.
+    not finite or not invertible, a scalar is zero or not finite, or the
+    commutation residual is not within ``tol``.
     """
     g = op.gtype
     mu = identity(g.d) if mu is None else as_matrix(mu, g.d)
     try:
         mat_inverse(mu, tol)
     except SingularMatrixError as exc:
-        raise EnhancementError("the scaling matrix must be invertible") from exc
+        raise EnhancementError("the scaling matrix must be finite and invertible") from exc
     alpha, beta = complex(alpha), complex(beta)
     if not (alpha and beta and cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise EnhancementError(f"the scalar weights must be finite and nonzero, got {alpha} and {beta}")

@@ -47,15 +47,9 @@ class InvariantResult:
 def trace_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> InvariantResult:
     """Evaluate the raw invariant of the closure of ``b``.
 
-    The weighted trace never forms the representation matrix. Small words
-    take the column sweep, whose cost grows with the square of the
-    representation dimension; wide words take a tensor-network contraction
-    plan, whose cost follows the plan's largest intermediate instead. The
-    plan breaks cost ties on fixed tensor ids, so values are deterministic
-    on either path. A word whose every path holds an array over
-    ``rep.PEAK_CAP`` elements raises ResourceCapError unless
-    ``allow_large`` is set; a strand count whose representation dimension
-    overflows a float raises it regardless.
+    The weighted trace comes from ``rep.trace_with_weight``; the ``rep``
+    module docstring describes its two evaluators, the size cap that
+    ``allow_large`` lifts and the ResourceCapError raised past it.
     """
     ctx = make_context(s.op, b.strands)
     blocks = None if s.mu_is_identity else [(s.mu, 1)] * ctx.factors

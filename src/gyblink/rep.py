@@ -11,16 +11,20 @@ from the word and the context alone:
 
 * the column sweep pushes the whole ``dim x dim`` identity through every
   letter in one pass. It costs ``L d^k dim^2`` multiply-adds for ``L``
-  letters and holds ``dim^2`` elements at once, so small words (under
-  ``SWEEP_GATE``) always take it.
+  letters. Its arrays hold ``dim^2`` elements, and it keeps two of them
+  alive at once (the state and the next letter's product). Small words
+  (under ``SWEEP_GATE``) always take it.
 * the network path treats each letter and weight block as a tensor,
   closes each factor's wire onto itself and contracts the network pairwise
   in a greedy order. Its cost follows the plan's largest intermediates,
   not ``dim^2``, so it reaches words on dozens of strands.
 
 ``trace_with_weight`` alone decides size: it runs the cheaper path among
-those whose largest array fits ``PEAK_CAP`` and raises ResourceCapError
-when none fits, unless ``allow_large`` lifts the cap.
+those whose largest single array fits ``PEAK_CAP`` and raises
+ResourceCapError when none fits, unless ``allow_large`` lifts the cap.
+The cap bounds one array, not the sum of those alive together, so the
+sweep's peak memory can reach twice the cap. A strand count whose dimension
+overflows a float is refused whatever ``allow_large`` says.
 
 Both are deterministic: the sweep is one fixed sequence of array
 operations and the plan breaks cost ties on tensor ids, so one word
@@ -51,9 +55,10 @@ from .tensorops import TensorShape, identity, tensor_embed
 #: [2^20, 2^22) (the three losses: 40 letters on 5 strands) and all 69 above.
 SWEEP_GATE = 1 << 20
 
-#: Largest array, in complex elements, a trace may hold without
+#: Largest single array, in complex elements, a trace may create without
 #: ``allow_large``: the column sweep's ``dim^2`` at dimension 2048 (64 MiB),
-#: so every word of dimension 2048 or less still evaluates.
+#: so every word of dimension 2048 or less still evaluates. The sweep keeps
+#: two such arrays alive at once, so its peak is 128 MiB at that dimension.
 PEAK_CAP = 1 << 22
 
 

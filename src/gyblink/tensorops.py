@@ -101,8 +101,13 @@ def dagger(f) -> np.ndarray:
 
 
 def mat_inverse(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Inverse with a residual check on ``a @ inv - I``; a NaN residual fails."""
+    """Inverse with a residual check on ``a @ inv - I``; a NaN residual fails.
+
+    Non-finite entries are refused before numpy sees them.
+    """
     a = as_matrix(a)
+    if not np.isfinite(a).all():
+        raise SingularMatrixError("matrix entries must be finite")
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:

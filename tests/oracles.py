@@ -1,0 +1,58 @@
+"""Test-only oracles that share no code with the evaluator.
+
+``jones`` evaluates the Jones polynomial of a closed braid through the
+Kauffman bracket, summing over all ``2^L`` smoothings of an ``L``-letter
+word. It reads nothing from the package but the braid word itself.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from gyblink.braids import BraidWord, writhe
+
+
+def bracket(b: BraidWord, a: complex) -> complex:
+    """Kauffman bracket of the closure of ``b``.
+
+    Each letter smooths two ways: ``<sigma_i> = A id + A^-1 e_i`` and
+    ``<sigma_i^-1> = A^-1 id + A e_i``, where ``e_i`` caps strands ``i``
+    and ``i + 1`` below the letter and cups them above. Each smoothing of
+    the whole word closes into loops, each worth ``d = -A^2 - A^-2``, and
+    the unknot is normalized to ``<O> = 1``.
+    """
+    n, letters = b.strands, b.letters
+    levels = max(len(letters), 1)
+    d = -a * a - a**-2
+    total = 0j
+    for cups in itertools.product((False, True), repeat=len(letters)):
+        # node t * n + j is strand j between letters t - 1 and t; the level
+        # above the last letter is level 0 again, which closes the braid
+        parent = list(range(levels * n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        def join(x, y):
+            parent[find(x)] = find(y)
+
+        weight = 1
+        for t, (g, cup) in enumerate(zip(letters, cups)):
+            i, below, above = abs(g) - 1, t * n, (t + 1) % levels * n
+            weight *= a if (g > 0) != cup else 1 / a
+            for j in range(n):
+                if not (cup and j in (i, i + 1)):
+                    join(below + j, above + j)
+            if cup:
+                join(below + i, below + i + 1)
+                join(above + i, above + i + 1)
+        loops = len({find(x) for x in range(levels * n)})
+        total += weight * d ** (loops - 1)
+    return total
+
+
+def jones(b: BraidWord, a: complex) -> complex:
+    """``V = (-A^3)^(-writhe) <closure>``, the bracket's framing-corrected form."""
+    return (-(a**3)) ** -writhe(b) * bracket(b, a)

@@ -80,10 +80,10 @@ def test_compute_normalizations(capsys):
 
 
 def test_compute_braid_word_and_strands(capsys):
-    code, payload, _ = run_json(
+    code, payload, err = run_json(
         capsys, "compute", "--operator", "type1", "--braid", "1 1", "--strands", "3"
     )
-    assert code == 0
+    assert code == 0 and err == ""
     assert payload["strands"] == 3
     # hopf link plus one split unknotted circle
     assert payload["components"] == 3
@@ -108,6 +108,26 @@ def test_theta_warning_for_fixed_operator(capsys):
     )
     assert code == 0
     assert err == ""
+
+
+@pytest.mark.parametrize("operator, extra, warning", [
+    ("type1", ("--alpha", "5", "--beta", "7"), "alpha/beta is ignored for operator type1"),
+    ("type1", ("--beta", "x"), "beta is ignored for operator type1"),
+    ("type1", ("--strands", "3"), "strands is ignored for catalog link trefoil on 2 strands"),
+    ("type1", ("--strands", "-3"), "strands is ignored for catalog link trefoil on 2 strands"),
+    ("r232", ("--theta", "1.0"), "theta is ignored for operator r232"),
+    ("custom", ("--theta", "1.0"), "theta is ignored for operator custom:{path}"),
+])
+def test_ignored_options_warn_once(tmp_path, capsys, operator, extra, warning):
+    path = tmp_path / "op.mat"
+    write_operator_file(path, build_type3(0.0))
+    argv = ["compute", "--braid", "trefoil", "--output", "json", "--operator"]
+    argv += [f"custom:{path}", "--alpha=1", "--beta=2"] if operator == "custom" else [operator]
+    code, want, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 0 and out == want
+    assert err == f"warning: {warning.format(path=path)}\n"
 
 
 def test_catalog_file_names_win_over_words(tmp_path, capsys):
@@ -223,6 +243,24 @@ def test_compute_fuzz_keeps_the_exit_contract(argv):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "compute --operator custom:{dir} --braid unknot --alpha 1 --beta 1",
+    "compute --operator custom: --braid unknot --alpha 1 --beta 1",
+    "verify --operator custom:{dir}",
+    "compute --operator type1 --braid unknot --catalog-file {dir}",
+    "compute --operator custom:{utf16} --braid unknot --alpha 1 --beta 1",
+    "verify --operator custom:{utf16}",
+    "compute --operator type1 --braid unknot --catalog-file {utf16}",
+])
+def test_file_input_errors_exit_2(tmp_path, capsys, argv):
+    utf16 = tmp_path / "utf16.txt"
+    utf16.write_bytes("# \u03b8 = 0.4\n".encode("utf-16"))
+    code, out, err = run_cli(capsys, *argv.format(dir=tmp_path, utf16=utf16).split())
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "utf16" not in argv or str(utf16) in err
 
 
 def test_custom_operator_needs_weights(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from gyblink.enhancement import (
     make_enhancement,
     sampled_perpendicularity,
 )
-from gyblink.errors import EnhancementError, ShapeError
+from gyblink.errors import EnhancementError, ShapeError, SingularMatrixError
 from gyblink.operators import CATALOG_IDS, GybOperator, GybType, build_type1, build_type2, load_custom
 from gyblink.tensorops import TensorShape, dagger, identity, max_abs
 
@@ -111,6 +113,17 @@ def test_make_enhancement_rejects_nonfinite_data(bad):
         make_enhancement(op, None, ALPHA, bad)
     with pytest.raises(EnhancementError):
         make_enhancement(op, np.diag([bad, 1.0]), ALPHA, 1.0)
+
+
+def test_nonfinite_matrices_are_refused_before_numpy_warns():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnhancementError, match="finite"):
+            make_enhancement(build_type1(0.4), np.diag([np.inf, 1.0]), ALPHA, 1.0)
+        r = identity(8)
+        r[3, 5] = np.nan
+        with pytest.raises(SingularMatrixError):
+            load_custom(r, GybType(2, 3, 1))
 
 
 def test_make_enhancement_rejects_nan_commutator():

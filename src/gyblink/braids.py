@@ -184,13 +184,15 @@ def resolve_braid(text: str, strands: int | None = None, catalog: dict[str, Name
 def load_catalog_file(path) -> dict[str, NamedLink]:
     """Read a link catalog: one ``name<TAB>strands<TAB>word`` record per line.
 
-    Blank lines and lines starting with ``#`` are skipped. The file must be
-    UTF-8.
+    Blank lines and lines starting with ``#`` are skipped. A file that cannot
+    be read or is not UTF-8 raises BraidParseError.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise BraidParseError(f"{path}: link catalogs must be UTF-8 text") from None
+    except OSError as exc:
+        raise BraidParseError(str(exc)) from None
     links: dict[str, NamedLink] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):

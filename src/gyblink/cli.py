@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .braids import LINKS, closure_components, format_braid, load_catalog_file, resolve_braid
-from .enhancement import CATALOG_WEIGHTS, enhancement_report, make_enhancement
+from .enhancement import CATALOG_WEIGHTS, catalog_enhancement, enhancement_report, make_enhancement
 from .errors import GybError, ResourceCapError
 from .invariant import (
     cross_operator_check,
@@ -84,8 +84,8 @@ def _ignored(options, what: str) -> None:
         print(f"warning: {option} is ignored for {what}", file=sys.stderr)
 
 
-def _resolve(name: str, theta: float | None = None, alpha: str | None = None, beta: str | None = None):
-    """Build operator ``name`` at ``theta`` (default 0) and enhance it.
+def _resolve(name: str, theta: float | None, alpha: str | None, beta: str | None):
+    """Build operator ``name`` at ``theta`` (None means 0) and enhance it.
 
     A catalog id takes its published weights, any other operator the given
     ``alpha`` and ``beta``; without weights the enhancement is None.
@@ -94,15 +94,18 @@ def _resolve(name: str, theta: float | None = None, alpha: str | None = None, be
     """
     if theta is not None and not math.isfinite(theta):
         raise GybError(f"--theta must be a finite number, got {theta}")
-    op = build_operator(name, 0.0 if theta is None else theta)
-    unread = ["theta"] if theta is not None and op.theta is None else []
+    at = 0.0 if theta is None else theta
     given = [key for key, value in (("alpha", alpha), ("beta", beta)) if value is not None]
-    weights = CATALOG_WEIGHTS.get(name)
-    if weights is not None and given:
-        unread.append("/".join(given))
-    elif weights is None and len(given) == 2:
-        weights = parse_scalar(alpha), parse_scalar(beta)
-    return op, None if weights is None else make_enhancement(op, None, *weights), unread
+    if name in CATALOG_WEIGHTS:
+        s = catalog_enhancement(name, at)
+        op, unread = s.op, ["/".join(given)] if given else []
+    else:
+        op = build_operator(name, at)
+        s = make_enhancement(op, None, parse_scalar(alpha), parse_scalar(beta)) if len(given) == 2 else None
+        unread = []
+    if theta is not None and op.theta is None:
+        unread.insert(0, "theta")
+    return op, s, unread
 
 
 def cmd_compute(args) -> int:
@@ -148,7 +151,7 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _resolve_tolerance(args)
-    op, s, unread = _resolve(args.operator, args.theta)
+    op, s, unread = _resolve(args.operator, args.theta, None, None)
     _ignored(unread, f"operator {args.operator}")
     g = op.gtype
     checks = {
@@ -202,7 +205,7 @@ def _suite_rows(names, trials: int, seed: int):
     rng = np.random.default_rng(seed)
     rows, enhanced = [], {}
     for name in names:
-        s = enhanced[name] = _resolve(name, 0.4)[1]
+        s = enhanced[name] = _resolve(name, 0.4, None, None)[1]
         worst = 0.0
         for _ in range(trials):
             b = _random_word(rng, 2, 4, 8)
@@ -310,7 +313,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             return args.func(args)
-        except (GybError, OSError) as exc:
+        except GybError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3 if isinstance(exc, ResourceCapError) else 2
 

@@ -216,12 +216,15 @@ def read_operator_file(path) -> GybOperator:
     Layout: first non-blank line is ``d k m``; the next ``d**k`` lines each
     hold ``d**k`` whitespace-separated finite complex entries in ``a+bi``
     form, one matrix row per line. Text from ``#`` to the end of a line is
-    a comment. The file must be UTF-8.
+    a comment. A file that cannot be read or is not UTF-8 raises
+    OperatorFileError.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise OperatorFileError(f"{path}: operator files must be UTF-8 text") from None
+    except OSError as exc:
+        raise OperatorFileError(str(exc)) from None
     numbered = enumerate(text.splitlines(), start=1)
     lines = [(n, toks) for n, ln in numbered if (toks := ln.split("#", 1)[0].split())]
     if not lines:

@@ -249,6 +249,7 @@ def test_compute_fuzz_keeps_the_exit_contract(argv):
     "compute --operator custom:{dir} --braid unknot --alpha 1 --beta 1",
     "compute --operator custom: --braid unknot --alpha 1 --beta 1",
     "verify --operator custom:{dir}",
+    "verify --operator custom:{dir}/missing.mat",
     "compute --operator type1 --braid unknot --catalog-file {dir}",
     "compute --operator custom:{utf16} --braid unknot --alpha 1 --beta 1",
     "verify --operator custom:{utf16}",
@@ -261,6 +262,16 @@ def test_file_input_errors_exit_2(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "utf16" not in argv or str(utf16) in err
+
+
+def test_output_errors_are_not_usage_errors(monkeypatch):
+    # exit 2 is for bad input; a failing stdout (a closed pipe) is not one
+    def closed_pipe(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("gyblink.cli.cmd_compute", closed_pipe)
+    with pytest.raises(BrokenPipeError):
+        main(["compute", "--operator", "type1", "--braid", "trefoil"])
 
 
 def test_custom_operator_needs_weights(tmp_path, capsys):

@@ -51,7 +51,7 @@ SCHEMA_VERSION = 1
 
 
 def _resolve_tolerance(args) -> float:
-    # --tolerance wins over GYBLINK_TOLERANCE; whichever is used must be finite
+    # --tolerance wins over GYBLINK_TOLERANCE; whichever is used must be finite and >= 0
     source, text = "--tolerance", args.tolerance
     if text is None:
         source, text = "GYBLINK_TOLERANCE", os.environ.get("GYBLINK_TOLERANCE", "1e-9")
@@ -59,8 +59,8 @@ def _resolve_tolerance(args) -> float:
         tol = float(text)
     except ValueError:
         tol = math.nan
-    if not math.isfinite(tol):
-        raise GybError(f"{source} must be a finite number, got {text!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise GybError(f"{source} must be a finite non-negative number, got {text!r}")
     return tol
 
 

@@ -16,7 +16,9 @@ from the word and the context alone:
   (under ``SWEEP_GATE``) always take it.
 * the network path treats each letter and weight block as a tensor,
   closes each factor's wire onto itself and contracts the network pairwise
-  in a greedy order. Its cost follows the plan's largest intermediates,
+  in a greedy order. Each pairwise step transposes and reshapes both
+  tensors to matrices for one ``np.dot``, as ``np.tensordot`` would, in its
+  floating-point order. Its cost follows the plan's largest intermediates,
   not ``dim^2``, so it reaches words on dozens of strands.
 
 ``trace_with_weight`` alone decides size: it runs the cheaper path among
@@ -184,16 +186,17 @@ def _network(ctx: RepContext, b: BraidWord, placed):
     wires = list(range(ctx.factors))
     tensors, legs = [], []
 
-    def attach(mat, start, span):
+    def attach(tensor, start, span):
         out = [next(fresh) for _ in range(span)]
-        tensors.append(mat.reshape((t.d,) * 2 * span))
+        tensors.append(tensor)
         legs.append(out + wires[start:start + span])
         wires[start:start + span] = out
 
     for mat, pos, span in placed:
-        attach(mat, pos - 1, span)
+        attach(mat.reshape((t.d,) * 2 * span), pos - 1, span)
+    r, r_inv = (mat.reshape((t.d,) * 2 * t.k) for mat in (ctx.op.r, ctx.op.r_inv))
     for g in b.letters:
-        attach(ctx.op.r if g > 0 else ctx.op.r_inv, t.m * (abs(g) - 1), t.k)
+        attach(r if g > 0 else r_inv, t.m * (abs(g) - 1), t.k)
     close = {w: j for j, w in enumerate(wires)}
     legs = [[close.get(x, x) for x in ls] for ls in legs]
     return tensors, legs, t.d ** sum(w == j for j, w in enumerate(wires))
@@ -213,51 +216,57 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int]:
     its largest tensor.
     """
     flops = 0
-    masks, owners = [], {}
+    masks, first = [], {}
+    nbrs = [set() for _ in legs]
     for i, ls in enumerate(legs):
         mask = 0
         for x in ls:
             mask ^= 1 << x
-            owners.setdefault(x, []).append(i)
+            j = first.setdefault(x, i)
+            if j != i:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
         if mask.bit_count() < len(ls):
             flops += d ** len(set(ls))
         masks.append(mask)
-    nbrs = [set() for _ in legs]
-    for i, j in owners.values():
-        if i != j:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
 
-    sizes = [d ** mask.bit_count() for mask in masks]
-
-    def cost(i, j):
-        return (d ** (masks[i] ^ masks[j]).bit_count() - sizes[i] - sizes[j], i, j)
-
-    heap = [cost(i, j) for i, ns in enumerate(nbrs) for j in ns if i < j]
+    # no mask, nor the union of two, has more bits than there are labels
+    power = [d**e for e in range(len(first) + 1)]
+    sizes = [power[mask.bit_count()] for mask in masks]
+    peak = max(sizes, default=1)
+    heap = [(power[(masks[i] ^ masks[j]).bit_count()] - sizes[i] - sizes[j], i, j)
+            for i, ns in enumerate(nbrs) for j in ns if i < j]
     heapq.heapify(heap)
+    edges = len(heap)  # pairs of tensors that share a leg; every other heap entry is stale
     used = [False] * len(legs)
     steps = []
-    while heap:
+    while edges:
         _, i, j = heapq.heappop(heap)
         if used[i] or used[j]:
             continue
         used[i] = used[j] = True
-        flops += d ** (masks[i] | masks[j]).bit_count()
+        flops += power[(masks[i] | masks[j]).bit_count()]
+        mask = masks[i] ^ masks[j]
+        size = power[mask.bit_count()]
+        peak = max(peak, size)
         c = len(masks)
         steps.append((i, j))
-        masks.append(masks[i] ^ masks[j])
-        sizes.append(d ** masks[c].bit_count())
+        masks.append(mask)
+        sizes.append(size)
         used.append(False)
         nbrs.append((nbrs[i] | nbrs[j]) - {i, j})
+        edges += len(nbrs[c]) + 1 - len(nbrs[i]) - len(nbrs[j])
         for k in nbrs[c]:
-            nbrs[k] -= {i, j}
+            nbrs[k].difference_update((i, j))
             nbrs[k].add(c)
-            heapq.heappush(heap, cost(k, c))
-    return steps, flops, max(sizes, default=1)
+            heapq.heappush(heap, (power[(masks[k] ^ mask).bit_count()] - sizes[k] - size, k, c))
+    return steps, flops, peak
 
 
 def _contract(network, steps) -> complex:
-    # Execute a plan from _greedy_plan on a network from _network.
+    # Execute a plan from _greedy_plan on a network from _network. Each step
+    # is the transpose, reshape and np.dot that np.tensordot would run on the
+    # shared legs, in the same floating-point order, without its overhead.
     tensors, legs, loop_factor = network
     tensors, legs = list(tensors), list(legs)
     for i, ls in enumerate(legs):
@@ -267,11 +276,15 @@ def _contract(network, steps) -> complex:
             tensors[i] = np.einsum(tensors[i], [axis[x] for x in ls], [axis[x] for x in keep])
             legs[i] = keep
     for i, j in steps:
-        la, lb = legs[i], legs[j]
-        shared = [x for x in la if x in lb]
-        axes = ([la.index(x) for x in shared], [lb.index(x) for x in shared])
-        tensors.append(np.tensordot(tensors[i], tensors[j], axes))
-        legs.append([x for x in la + lb if x not in shared])
+        a, b, la = tensors[i], tensors[j], legs[i]
+        rest = {x: n for n, x in enumerate(legs[j])}
+        fa = [n for n, x in enumerate(la) if x not in rest]
+        pa = [n for n, x in enumerate(la) if x in rest]
+        pb = [rest.pop(la[n]) for n in pa]
+        d, k = a.shape[0], a.shape[0] ** len(pa)  # every axis of every tensor has length d
+        legs.append([la[n] for n in fa] + list(rest))
+        tensors.append(np.dot(a.transpose(fa + pa).reshape(-1, k),
+                              b.transpose(pb + list(rest.values())).reshape(k, -1)).reshape((d,) * len(legs[-1])))
         tensors[i] = tensors[j] = None
     value = complex(loop_factor)
     for arr in tensors:

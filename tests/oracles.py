@@ -1,13 +1,18 @@
-"""Test-only oracles that share no code with the evaluator.
+"""Test-only oracles.
 
 ``jones`` evaluates the Jones polynomial of a closed braid through the
 Kauffman bracket, summing over all ``2^L`` smoothings of an ``L``-letter
 word. It reads nothing from the package but the braid word itself.
+
+``tensordot_contract`` is the reference for ``rep._contract``: it runs the
+same network and plan, but each pairwise step through ``np.tensordot``.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from gyblink.braids import BraidWord, writhe
 
@@ -56,3 +61,27 @@ def bracket(b: BraidWord, a: complex) -> complex:
 def jones(b: BraidWord, a: complex) -> complex:
     """``V = (-A^3)^(-writhe) <closure>``, the bracket's framing-corrected form."""
     return (-(a**3)) ** -writhe(b) * bracket(b, a)
+
+
+def tensordot_contract(network, steps) -> complex:
+    """Execute a plan from ``rep._greedy_plan`` with one ``np.tensordot`` per step."""
+    tensors, legs, loop_factor = network
+    tensors, legs = list(tensors), list(legs)
+    for i, ls in enumerate(legs):
+        if len(set(ls)) < len(ls):
+            keep = [x for x in ls if ls.count(x) == 1]
+            axis = {x: n for n, x in enumerate(dict.fromkeys(ls))}
+            tensors[i] = np.einsum(tensors[i], [axis[x] for x in ls], [axis[x] for x in keep])
+            legs[i] = keep
+    for i, j in steps:
+        la, lb = legs[i], legs[j]
+        shared = [x for x in la if x in lb]
+        axes = ([la.index(x) for x in shared], [lb.index(x) for x in shared])
+        tensors.append(np.tensordot(tensors[i], tensors[j], axes))
+        legs.append([x for x in la + lb if x not in shared])
+        tensors[i] = tensors[j] = None
+    value = complex(loop_factor)
+    for arr in tensors:
+        if arr is not None:
+            value *= complex(arr)
+    return value

@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gyblink
 from gyblink.braids import random_braid
 from gyblink.cli import main
 from gyblink.operators import build_type3, write_operator_file
@@ -359,9 +364,11 @@ def test_tolerance_env_default(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "verify", "--operator", "type1")
     assert code == 0
     assert payload["tolerance"] == 0.01
-    monkeypatch.setenv("GYBLINK_TOLERANCE", "1e-30")
-    code, payload, _ = run_json(capsys, "verify", "--operator", "type1")
-    assert code == 1  # float residuals cannot meet an impossible tolerance
+    for value in ("1e-30", "0"):
+        monkeypatch.setenv("GYBLINK_TOLERANCE", value)
+        code, payload, _ = run_json(capsys, "verify", "--operator", "type1")
+        assert code == 1  # float residuals cannot meet an impossible tolerance
+        assert payload["tolerance"] == float(value)
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -372,7 +379,7 @@ def test_suite_rejects_nonpositive_trials(capsys, trials):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", "-5", "-1e-300"])
 def test_tolerance_env_must_be_finite(capsys, monkeypatch, value):
     monkeypatch.setenv("GYBLINK_TOLERANCE", value)
     for argv in (("verify", "--operator", "type1"), ("suite", "--operator", "type1", "--trials", "1")):
@@ -389,7 +396,7 @@ def test_tolerance_env_must_be_finite(capsys, monkeypatch, value):
     assert payload["tolerance"] == 0.01
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_tolerance_flag_must_be_finite(capsys, value):
     code, out, err = run_cli(capsys, "verify", "--operator", "type1", "--tolerance", value)
     assert code == 2
@@ -466,3 +473,14 @@ def test_help_ignores_bad_tolerance_env(capsys, monkeypatch):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert "--tolerance" in capsys.readouterr().out
+
+
+def test_cli_imports_no_undeclared_dependency():
+    # numpy is the only declared dependency; scipy, sympy and networkx are
+    # often installed beside it, and importing one would slow every call
+    src = str(Path(gyblink.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, gyblink.cli; print(sorted({'scipy', 'sympy', 'networkx'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["[]"]

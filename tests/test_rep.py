@@ -1,7 +1,9 @@
+import hashlib
 from functools import reduce
 
 import numpy as np
 import pytest
+from oracles import tensordot_contract
 
 from gyblink.braids import BraidWord, parse_braid, random_braid
 from gyblink.enhancement import catalog_enhancement
@@ -269,3 +271,51 @@ def test_wide_words_past_the_cap(name):
         assert abs(got - unknot) <= 1e-9 * abs(unknot)
     b = random_braid(24, 20, seed=29)
     assert markov_check(s, b, trials=3, seed=31) <= 1e-9
+
+
+def _seeded_networks(count, seed):
+    # ``count`` networks: the four operators, 1-12 strands (r232: 1-7),
+    # 0-60 letters, every other group of four with non-identity weight
+    # blocks, spanning one factor each or two at the right end
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        op = OPS[case % 4]
+        n = int(rng.integers(1, 8 if op.op_id == "r232" else 13))
+        ctx = make_context(op, n)
+        b = random_braid(n, int(rng.integers(0, 61)), rng)
+        mu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        blocks = None
+        if case % 8 >= 6 and ctx.factors >= 2:
+            blocks = [(mu, 1)] * (ctx.factors - 2) + [(np.kron(mu, mu), 2)]
+        elif case % 8 >= 4:
+            blocks = [(mu, 1)] * ctx.factors
+        yield ctx, _network(ctx, b, _place_blocks(ctx, blocks))
+
+
+def test_greedy_plans_are_pinned():
+    # the plan fixes the floating-point order of every network trace, so any
+    # change to it moves values; plans are integers, so the digest is the
+    # same on every platform
+    plans = [_greedy_plan(network[1], ctx.op.gtype.d) for ctx, network in _seeded_networks(300, 41)]
+    assert sum(len(steps) for steps, _, _ in plans) > 3000
+    digest = hashlib.sha256(repr(plans).encode()).hexdigest()
+    assert digest == "ef839bfc3be165274db2c69b4a2ccdf4ddd87430e421dd0331e167755598ae3d"
+
+
+def test_contract_matches_tensordot_exactly():
+    # each step runs the transposes, reshapes and dot np.tensordot would
+    # run, so the values are equal, not merely close
+    op = OPS[0]
+    mu = np.array([[0.3, 1.1j], [-0.7, 2.0]])
+    two = make_context(op, 2)
+    cases = [(ctx, network) for ctx, network in _seeded_networks(60, 43)] + [
+        (two, _network(two, BraidWord(2, ()), [])),  # no tensor at all
+        (two, _network(two, BraidWord(2, ()), _place_blocks(two, [(mu, 1)] * 3))),
+        (two, _network(two, parse_braid("1", 2), [])),  # one letter, closed onto itself
+    ]
+    twice = 0
+    for ctx, network in cases:
+        twice += any(len(set(ls)) < len(ls) for ls in network[1])
+        steps, _, _ = _greedy_plan(network[1], ctx.op.gtype.d)
+        assert _contract(network, steps) == tensordot_contract(network, steps)
+    assert twice >= 3

@@ -305,9 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_values(argv: list[str]) -> list[str]:
+    # "--theta -2e-1" as "--theta=-2e-1": argparse takes "-2e-1" for an option
+    out, valued = [], ("--theta", "--tolerance", "--alpha", "--beta")
+    for token in argv:
+        if out and out[-1] in valued and token.startswith("-") and not token.startswith("--"):
+            token = out.pop() + "=" + token
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else list(argv)))
     with warnings.catch_warnings():
         # one line per warning, without the library's file and source line
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,8 @@ class GybOperator:
     """An invertible operator together with its cached inverse.
 
     ``theta`` is the family parameter for the one-parameter catalog
-    entries and None otherwise.
+    entries and None otherwise. ``moved``: the offsets among the ``k`` factors
+    whose label a nonzero entry of ``r`` or ``r_inv`` changes.
     """
 
     gtype: GybType
@@ -70,6 +71,14 @@ class GybOperator:
     r_inv: np.ndarray
     op_id: str
     theta: float | None = None
+    moved: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        g = self.gtype
+        rows, cols = np.nonzero((self.r != 0) | (self.r_inv != 0))
+        place = g.d ** np.arange(g.k - 1, -1, -1)  # of each offset's label in an index
+        changed = (rows[:, None] // place % g.d != cols[:, None] // place % g.d).any(axis=0)
+        object.__setattr__(self, "moved", tuple(int(j) for j in np.flatnonzero(changed)))
 
 
 def _checked_theta(theta: float) -> float:

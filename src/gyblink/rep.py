@@ -9,11 +9,13 @@ the cached inverse. The full representation matrix is never materialized.
 The weighted trace of a closed braid has two evaluators, chosen per call
 from the word and the context alone:
 
-* the column sweep pushes the whole ``dim x dim`` identity through every
-  letter in one pass. It costs ``L d^k dim^2`` multiply-adds for ``L``
-  letters. Its arrays hold ``dim^2`` elements, and it keeps two of them
-  alive at once (the state and the next letter's product). Small words
-  (under ``SWEEP_GATE``) always take it.
+* the column sweep pushes one column per label of the ``M`` factors the
+  word moves (whose label a letter can change, ``GybOperator.moved``, or a
+  non-identity weight block covers) through every letter in one pass. Each
+  column carries all labels of the conserved factors at once in its rows;
+  the trace sums the entries whose moved labels are their column's, in row
+  order. It costs ``L d^k dim d^M`` multiply-adds for ``L`` letters; two
+  ``dim d^M`` arrays live at once. Words under ``SWEEP_GATE`` always take it.
 * the network path treats each letter and weight block as a tensor,
   closes each factor's wire onto itself and contracts the network pairwise
   in a greedy order. Each pairwise step transposes and reshapes both
@@ -51,16 +53,17 @@ from .tensorops import TensorShape, identity, tensor_embed
 
 #: Column-sweep cost, in multiply-adds, below which a trace never plans a
 #: network: planning and per-step overhead, tens of microseconds per tensor,
-#: outweigh the sweep on small words. Measured on a 2-CPU x86-64 host
-#: (median of 5 per word, 264 words), the network was faster on 3 of 123
-#: words of cost under 2^18, 18 of 36 in [2^18, 2^20), 33 of 36 in
-#: [2^20, 2^22) (the three losses: 40 letters on 5 strands) and all 69 above.
-SWEEP_GATE = 1 << 20
+#: outweigh the sweep on small words. On a 2-CPU x86-64 host (median of 5 per
+#: word; 264 words: type1/2/3 on 2-9 strands, r232 on 2-6, 3-60 letters) the
+#: network was faster on 9 of 146 words of cost under 2^18, 1 of 8 in [2^18,
+#: 2^19), 7 of 19 in [2^19, 2^20), 30 of 33 in [2^20, 2^22) and all 58 above;
+#: 2^19 ties 2^20 there (1.3 %) and cuts the p90 of ``suite`` checks by 14 %.
+SWEEP_GATE = 1 << 19
 
 #: Largest single array, in complex elements, a trace may create without
-#: ``allow_large``: the column sweep's ``dim^2`` at dimension 2048 (64 MiB),
-#: so every word of dimension 2048 or less still evaluates. The sweep keeps
-#: two such arrays alive at once, so its peak is 128 MiB at that dimension.
+#: ``allow_large``: the sweep's ``dim * d^M`` (64 MiB) at dimension 2048, or
+#: 4096 for identity-weight (2, 3, 1) family words (11 strands), so all such
+#: words evaluate. The sweep keeps two such arrays alive, a 128 MiB peak.
 PEAK_CAP = 1 << 22
 
 
@@ -158,16 +161,32 @@ def _place_blocks(ctx: RepContext, blocks) -> list[tuple[np.ndarray, int, int]]:
     return placed
 
 
+def _moved_factors(ctx: RepContext, b: BraidWord, placed) -> set[int]:
+    t = ctx.op.gtype
+    moved = {t.m * (i - 1) + j for i in set(map(abs, b.letters)) for j in ctx.op.moved}
+    for _, pos, span in placed:
+        moved.update(range(pos - 1, pos - 1 + span))
+    return moved
+
+
 def _sweep(ctx: RepContext, b: BraidWord, placed) -> complex:
-    # Push every basis column through the weight blocks and the letters.
-    d = ctx.op.gtype.d
-    state = np.eye(ctx.dim, dtype=np.complex128)
+    # One column per label of the moved factors, summing the basis vectors with
+    # those labels; diag: each row's flat position in its moved labels' column.
+    d, moved = ctx.op.gtype.d, _moved_factors(ctx, b, placed)
+    cols = d ** len(moved)
+    if len(moved) == ctx.factors:
+        diag = np.arange(0, ctx.dim * cols, cols + 1)
+    else:
+        label = np.arange(cols).reshape([d if f in moved else 1 for f in range(ctx.factors)])
+        diag = (np.arange(0, ctx.dim * cols, cols).reshape((d,) * ctx.factors) + label).reshape(-1)
+    state = np.zeros((ctx.dim, cols), dtype=np.complex128)
+    state.put(diag, 1)
     for mat, pos, span in placed:
         state = _apply_block(mat, pos, d**span, state, d)
     for g in b.letters:
         state = apply_letter(ctx, g, state)
     # adding to +0 turns a -0.0 trace into 0.0, as values have always read
-    return complex(0.0 + 0.0j + np.trace(state))
+    return complex(0.0 + 0.0j + state.take(diag).sum())
 
 
 def _network(ctx: RepContext, b: BraidWord, placed):
@@ -314,8 +333,10 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
         raise ShapeError(f"braid has {b.strands} strands, context expects {ctx.n}")
     placed = _place_blocks(ctx, blocks)
     t = ctx.op.gtype
-    sweep_cost = ctx.dim**2 * (1 + len(b) * t.dim + sum(t.d**span for _, _, span in placed))
-    sweep_peak = ctx.dim**2
+    size = 1 + len(b) * t.dim + sum(t.d**span for _, _, span in placed)
+    # under the gate with every factor moved (so under PEAK_CAP), the sweep runs: skip counting
+    count = ctx.factors if ctx.dim**2 * size < SWEEP_GATE else len(_moved_factors(ctx, b, placed))
+    sweep_peak, sweep_cost = ctx.dim * t.d**count, ctx.dim * t.d**count * size
     sweep_fits = allow_large or sweep_peak <= PEAK_CAP
     if sweep_cost >= SWEEP_GATE or not sweep_fits:
         network = _network(ctx, b, placed)

@@ -404,6 +404,31 @@ def test_tolerance_flag_must_be_finite(capsys, value):
     assert err.startswith("error: --tolerance") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("compute", "--operator", "type1", "--braid", "trefoil", "--theta", "-2e-1"), 0),
+    (("compute", "--operator", "type2", "--braid", "figure8", "--theta", "-inf"), 2),
+    (("verify", "--operator", "type2", "--theta", "-1e-1"), 0),
+    (("verify", "--operator", "type1", "--tolerance", "-1e-3"), 2),
+    (("suite", "--operator", "type1", "--trials", "1", "--tolerance", "-1e-3"), 2),
+    (("suite", "--operator", "type3", "--trials", "1", "--tolerance", "-0"), 1),
+    (("compute", "--operator", "custom", "--braid", "trefoil", "--alpha", "-0.5j", "--beta", "1"), 0),
+    (("compute", "--operator", "custom", "--braid", "trefoil", "--alpha", "1", "--beta", "-1.5e0"), 0),
+])
+def test_negative_values_read_as_with_equals(tmp_path, capsys, argv, code):
+    # "--theta -2e-1" reads as "--theta=-2e-1", though argparse alone takes
+    # only "-\d+" and "-\d*\.\d+" for negative numbers
+    path = tmp_path / "op.mat"
+    write_operator_file(path, build_type3(0.0))
+    argv = [f"custom:{path}" if token == "custom" else token for token in argv]
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    if argv[-4] == "--alpha":
+        joined = argv[:-4] + [f"--alpha={argv[-3]}", f"--beta={argv[-1]}"]
+    split = run_cli(capsys, *argv)
+    assert split == run_cli(capsys, *joined)
+    assert split[0] == code and "usage" not in split[2]
+    assert len(split[2].splitlines()) <= 1
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "--operator", "type1", "--braid", "trefoil", "--seed", "1"),
     ("compute", "--operator", "type1", "--braid", "trefoil", "--tolerance", "1"),

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from oracles import tensordot_contract
 
-from gyblink.braids import BraidWord, parse_braid, random_braid
+from gyblink.braids import BraidWord, juxtapose, parse_braid, random_braid
 from gyblink.enhancement import catalog_enhancement
 from gyblink.errors import ResourceCapError, ShapeError
 from gyblink.invariant import markov_check, trace_invariant
-from gyblink.operators import build_operator, build_r232, build_type1
+from gyblink.operators import GybType, build_operator, build_r232, build_type1, check_outer_diagonal, load_custom
 from gyblink.rep import (
     PEAK_CAP,
     SWEEP_GATE,
@@ -76,6 +76,128 @@ def test_plan_over_the_cap_takes_the_sweep(monkeypatch):
     monkeypatch.setattr("gyblink.rep._greedy_plan", wide_plan)
     monkeypatch.setattr("gyblink.rep._contract", refuse)
     assert trace_with_weight(ctx, b) == _sweep(ctx, b, [])
+
+
+def _sweep_words(n, rng):
+    # the empty word, a random word, a word of sigma_1 alone and a split
+    # union, which has no generator at the junction
+    yield BraidWord(n, ())
+    if n >= 2:
+        yield random_braid(n, 8, rng)
+        yield BraidWord(n, tuple(int(g) for g in rng.choice([1, -1], size=5)))
+    if n >= 3:
+        yield juxtapose(random_braid(n // 2, 4, rng), random_braid(n - n // 2, 4, rng))
+
+
+def _dense_trace(ctx, b, blocks):
+    dense = dense_representation(ctx, b)
+    return np.trace(dense if blocks is None else dense @ reduce(np.kron, [mat for mat, _ in blocks]))
+
+
+def _sweep_cases(op, strands, seed):
+    # every word of _sweep_words under the identity weight, a mu on every
+    # factor, and the defect pad sampled_perpendicularity builds, with the
+    # identity or a mu on the factors before the defect
+    rng = np.random.default_rng(seed)
+    g = op.gtype
+    pad = g.k - g.m
+    for n in strands:
+        ctx = make_context(op, n)
+        mu = rng.normal(size=(g.d, g.d)) + 1j * rng.normal(size=(g.d, g.d))
+        weights = [None, [(mu, 1)] * ctx.factors]
+        if n >= 2:
+            defect = rng.normal(size=(g.d**pad,) * 2) + 1j * rng.normal(size=(g.d**pad,) * 2)
+            for front in (np.eye(g.d), mu):
+                weights.append([(front, 1)] * (ctx.factors - pad) + [(defect, pad)])
+        for b in _sweep_words(n, rng):
+            for blocks in weights:
+                yield ctx, b, blocks
+
+
+@pytest.mark.parametrize("theta", ["0.4", "clifford"])
+@pytest.mark.parametrize("name", ["type1", "type2", "type3", "r232"])
+def test_sweep_matches_dense_trace(name, theta):
+    # the Clifford points: theta = pi/2 for type1 and type2, 0 for type3;
+    # r232 has no parameter
+    op = build_operator(name, 0.4 if theta == "0.4" else {"type3": 0.0}.get(name, np.pi / 2))
+    cases = 0
+    for ctx, b, blocks in _sweep_cases(op, range(1, 5 if name == "r232" else 7), seed=3):
+        want = _dense_trace(ctx, b, blocks)
+        got = _sweep(ctx, b, _place_blocks(ctx, blocks))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (ctx.n, b, blocks is None)
+        cases += 1
+    assert cases >= 40
+
+
+def test_moved_offsets_count_exact_zeros():
+    # a factor is conserved only where every entry that changes its label is
+    # exactly zero: an outer off-diagonal entry of 1e-300 passes the
+    # tolerance of check_outer_diagonal but moves every factor
+    rng = np.random.default_rng(17)
+    r = np.zeros((27, 27), dtype=np.complex128)  # a (3, 3, 1) operator, outer-diagonal
+    for a in range(3):
+        for c in range(3):
+            block = [9 * a + 3 * m + c for m in range(3)]
+            r[np.ix_(block, block)] = rng.normal(size=(3, 3)) + 3 * np.eye(3)
+    outer_diagonal = load_custom(r, GybType(3, 3, 1))
+    assert outer_diagonal.moved == (1,)
+    tiny = build_type1(0.4).r.copy()
+    tiny[0, 5] = 1e-300  # rows 000 and columns 101: both outer labels differ
+    barely = load_custom(tiny, GybType(2, 3, 1))
+    assert check_outer_diagonal(barely) and barely.moved == (0, 1, 2)
+    dense = load_custom(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)), GybType(2, 3, 1))
+    assert dense.moved == (0, 1, 2)
+    for op in (outer_diagonal, barely, dense):
+        for ctx, b, blocks in _sweep_cases(op, (1, 2, 3, 4), seed=19):
+            want = _dense_trace(ctx, b, blocks)
+            got = _sweep(ctx, b, _place_blocks(ctx, blocks))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_sweep_arrays_hold_dim_times_moved_labels(monkeypatch):
+    # a type1 word using every generator moves all but the outer factors:
+    # its sweep arrays are dim x dim/4, so it fits a cap of dim^2/4 and runs
+    # there when the plan is over the cap
+    ctx = make_context(build_type1(0.6), 6)
+    b = random_braid(6, 30, seed=5)
+    assert {abs(g) for g in b.letters} == {1, 2, 3, 4, 5}
+    want = _dense_trace(ctx, b, None)
+    shapes = []
+
+    def record(ctx, g, state):
+        shapes.append(state.shape)
+        return apply_letter(ctx, g, state)
+
+    def wide_plan(legs, d):
+        steps, flops, _ = _greedy_plan(legs, d)
+        return steps, flops, PEAK_CAP + 1
+
+    def refuse(*args):
+        raise AssertionError("the network path ran")
+
+    monkeypatch.setattr("gyblink.rep.apply_letter", record)
+    monkeypatch.setattr("gyblink.rep._greedy_plan", wide_plan)
+    monkeypatch.setattr("gyblink.rep._contract", refuse)
+    monkeypatch.setattr("gyblink.rep.PEAK_CAP", ctx.dim**2 // 4)
+    got = trace_with_weight(ctx, b)
+    assert shapes == [(128, 32)] * 30
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    # a weight block on every factor moves them all: dim x dim is over the cap
+    with pytest.raises(ResourceCapError):
+        trace_with_weight(ctx, b, [(np.diag([1.0, 2.0]), 1)] * ctx.factors)
+
+
+def test_sweep_that_moves_every_factor_keeps_the_trace_order():
+    # with every factor moved the sweep is the identity pushed through the
+    # letters and summed along the diagonal in row order, as np.trace sums
+    rng = np.random.default_rng(23)
+    for n, length in ((2, 5), (3, 9), (4, 14), (5, 20)):
+        ctx = make_context(build_r232(), n)
+        b = random_braid(n, length, rng)
+        state = np.eye(ctx.dim, dtype=np.complex128)
+        for g in b.letters:
+            state = apply_letter(ctx, g, state)
+        assert _sweep(ctx, b, []) == complex(0.0 + 0.0j + np.trace(state))
 
 
 def test_rep_apply_identity_and_cancellation():

@@ -306,10 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_values(argv: list[str]) -> list[str]:
-    # "--theta -2e-1" as "--theta=-2e-1": argparse takes "-2e-1" for an option
+    # "--theta -2e-1" as "--theta=-2e-1": argparse takes "-2e-1" for an option.
+    # A prefix of a name ("--thet") is joined too; argparse resolves it, or
+    # names it ambiguous, in the joined form as it would in the split one.
     out, valued = [], ("--theta", "--tolerance", "--alpha", "--beta")
     for token in argv:
-        if out and out[-1] in valued and token.startswith("-") and not token.startswith("--"):
+        prev = out[-1] if out else ""
+        if len(prev) > 2 and any(name.startswith(prev) for name in valued) \
+                and token.startswith("-") and not token.startswith("--"):
             token = out.pop() + "=" + token
         out.append(token)
     return out

@@ -6,17 +6,25 @@ identity braid. Generator ``i`` applies the operator to the ``k``
 contiguous factors starting at ``m (i - 1) + 1``; inverse letters apply
 the cached inverse. The full representation matrix is never materialized.
 
-The weighted trace of a closed braid has two evaluators, chosen per call
-from the word and the context alone:
+The weighted trace of a closed braid first compresses the word. Two
+letters commute exactly when their windows share only factors both
+conserve (whose label neither can change, ``GybOperator.moved``): disjoint
+windows, and for outer-diagonal ``(2,3,1)`` operators also windows two
+apart. So each letter joins the latest earlier block on its own window
+(``block = r_letter @ block``) when every block after that one lets it
+pass, and starts a new block otherwise (the trace-monoid rearrangement of
+Cartier and Foata). A word with nothing to fuse keeps one block per
+letter. Both evaluators take these blocks, chosen per call from the
+blocks and the context alone:
 
 * the column sweep pushes one column per label of the ``M`` factors the
-  word moves (whose label a letter can change, ``GybOperator.moved``, or a
-  non-identity weight block covers) through every letter in one pass. Each
-  column carries all labels of the conserved factors at once in its rows;
-  the trace sums the entries whose moved labels are their column's, in row
-  order. It costs ``L d^k dim d^M`` multiply-adds for ``L`` letters; two
-  ``dim d^M`` arrays live at once. Words under ``SWEEP_GATE`` always take it.
-* the network path treats each letter and weight block as a tensor,
+  word moves (whose label a letter can change or a non-identity weight
+  block covers) through every block in one pass. Each column carries all
+  labels of the conserved factors at once in its rows; the trace sums the
+  entries whose moved labels are their column's, in row order. It costs
+  ``B d^k dim d^M`` multiply-adds for ``B`` blocks; two ``dim d^M``
+  arrays live at once. Words under ``SWEEP_GATE`` always take it.
+* the network path treats each block and weight block as a tensor,
   closes each factor's wire onto itself and contracts the network pairwise
   in a greedy order. Each pairwise step transposes and reshapes both
   tensors to matrices for one ``np.dot``, as ``np.tensordot`` would, in its
@@ -161,18 +169,38 @@ def _place_blocks(ctx: RepContext, blocks) -> list[tuple[np.ndarray, int, int]]:
     return placed
 
 
-def _moved_factors(ctx: RepContext, b: BraidWord, placed) -> set[int]:
-    t = ctx.op.gtype
-    moved = {t.m * (i - 1) + j for i in set(map(abs, b.letters)) for j in ctx.op.moved}
+def _fuse(ctx: RepContext, b: BraidWord) -> list[list]:
+    # The letters as [matrix, first factor, span] blocks in the order they act.
+    # Two windows ``s`` factors apart share a factor one of them moves when
+    # ``s = +-(a - j)`` for a moved offset ``a`` and any offset ``j``. latest:
+    # per first factor, the block a letter there joins, dropped once a block
+    # at such a distance comes after it.
+    t, op = ctx.op.gtype, ctx.op
+    clash = {sign * (a - j) for a in op.moved for j in range(t.k) for sign in (1, -1)}
+    blocks, latest = [], {}
+    for g in b.letters:
+        first, mat = t.m * (abs(g) - 1) + 1, op.r if g > 0 else op.r_inv
+        if first in latest:
+            latest[first][0] = mat @ latest[first][0]
+        else:
+            for s in clash:
+                latest.pop(first + s, None)
+            latest[first] = [mat, first, t.k]
+            blocks.append(latest[first])
+    return blocks
+
+
+def _moved_factors(ctx: RepContext, word, placed) -> set[int]:
+    moved = {first - 1 + j for _, first, _ in word for j in ctx.op.moved}
     for _, pos, span in placed:
         moved.update(range(pos - 1, pos - 1 + span))
     return moved
 
 
-def _sweep(ctx: RepContext, b: BraidWord, placed) -> complex:
+def _sweep(ctx: RepContext, word, placed) -> complex:
     # One column per label of the moved factors, summing the basis vectors with
     # those labels; diag: each row's flat position in its moved labels' column.
-    d, moved = ctx.op.gtype.d, _moved_factors(ctx, b, placed)
+    d, moved = ctx.op.gtype.d, _moved_factors(ctx, word, placed)
     cols = d ** len(moved)
     if len(moved) == ctx.factors:
         diag = np.arange(0, ctx.dim * cols, cols + 1)
@@ -181,41 +209,33 @@ def _sweep(ctx: RepContext, b: BraidWord, placed) -> complex:
         diag = (np.arange(0, ctx.dim * cols, cols).reshape((d,) * ctx.factors) + label).reshape(-1)
     state = np.zeros((ctx.dim, cols), dtype=np.complex128)
     state.put(diag, 1)
-    for mat, pos, span in placed:
+    for mat, pos, span in placed + word:
         state = _apply_block(mat, pos, d**span, state, d)
-    for g in b.letters:
-        state = apply_letter(ctx, g, state)
     # adding to +0 turns a -0.0 trace into 0.0, as values have always read
     return complex(0.0 + 0.0j + state.take(diag).sum())
 
 
-def _network(ctx: RepContext, b: BraidWord, placed):
-    """The closed network of ``tr(rho(b) . W)``.
+def _network(ctx: RepContext, word, placed):
+    """The closed network of ``tr(rho(b) . W)`` for the blocks ``word`` of
+    ``_fuse`` and the weight blocks ``placed``.
 
     Returns ``(tensors, legs, loop_factor)``: one ``(d,)*2s`` tensor per
-    weight block and per letter in the order they act, output legs first;
-    the integer label of each tensor axis; and ``d`` to the number of
-    factors nothing acts on, each of which closes into a loop. Factor
-    ``j`` enters with label ``j`` and its last output label is renamed to
-    ``j``, which closes the wire without an identity tensor. A tensor that
-    is both first and last on a factor carries that label twice.
+    weight block and per block of the word in the order they act, output
+    legs first; the integer label of each tensor axis; and ``d`` to the
+    number of factors nothing acts on, each of which closes into a loop.
+    Factor ``j`` enters with label ``j`` and its last output label is
+    renamed to ``j``, which closes the wire without an identity tensor. A
+    tensor that is both first and last on a factor carries that label twice.
     """
     t = ctx.op.gtype
     fresh = itertools.count(ctx.factors)
     wires = list(range(ctx.factors))
     tensors, legs = [], []
-
-    def attach(tensor, start, span):
+    for mat, pos, span in placed + word:
         out = [next(fresh) for _ in range(span)]
-        tensors.append(tensor)
-        legs.append(out + wires[start:start + span])
-        wires[start:start + span] = out
-
-    for mat, pos, span in placed:
-        attach(mat.reshape((t.d,) * 2 * span), pos - 1, span)
-    r, r_inv = (mat.reshape((t.d,) * 2 * t.k) for mat in (ctx.op.r, ctx.op.r_inv))
-    for g in b.letters:
-        attach(r if g > 0 else r_inv, t.m * (abs(g) - 1), t.k)
+        tensors.append(mat.reshape((t.d,) * 2 * span))
+        legs.append(out + wires[pos - 1:pos - 1 + span])
+        wires[pos - 1:pos - 1 + span] = out
     close = {w: j for j, w in enumerate(wires)}
     legs = [[close.get(x, x) for x in ls] for ls in legs]
     return tensors, legs, t.d ** sum(w == j for j, w in enumerate(wires))
@@ -331,15 +351,15 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
     """
     if b.strands != ctx.n:
         raise ShapeError(f"braid has {b.strands} strands, context expects {ctx.n}")
-    placed = _place_blocks(ctx, blocks)
+    placed, word = _place_blocks(ctx, blocks), _fuse(ctx, b)
     t = ctx.op.gtype
-    size = 1 + len(b) * t.dim + sum(t.d**span for _, _, span in placed)
+    size = 1 + len(word) * t.dim + sum(t.d**span for _, _, span in placed)
     # under the gate with every factor moved (so under PEAK_CAP), the sweep runs: skip counting
-    count = ctx.factors if ctx.dim**2 * size < SWEEP_GATE else len(_moved_factors(ctx, b, placed))
+    count = ctx.factors if ctx.dim**2 * size < SWEEP_GATE else len(_moved_factors(ctx, word, placed))
     sweep_peak, sweep_cost = ctx.dim * t.d**count, ctx.dim * t.d**count * size
     sweep_fits = allow_large or sweep_peak <= PEAK_CAP
     if sweep_cost >= SWEEP_GATE or not sweep_fits:
-        network = _network(ctx, b, placed)
+        network = _network(ctx, word, placed)
         steps, flops, peak = _greedy_plan(network[1], t.d)
         if (allow_large or peak <= PEAK_CAP) and (flops < sweep_cost or not sweep_fits):
             return _contract(network, steps)
@@ -349,4 +369,4 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
                 f"2^{min(peak, sweep_peak).bit_length() - 1} elements, over the cap of "
                 f"2^{PEAK_CAP.bit_length() - 1}; pass allow_large=True (CLI: --allow-large) to override"
             )
-    return _sweep(ctx, b, placed)
+    return _sweep(ctx, word, placed)

@@ -4,6 +4,9 @@
 Kauffman bracket, summing over all ``2^L`` smoothings of an ``L``-letter
 word. It reads nothing from the package but the braid word itself.
 
+``type2_closed_form`` gives the raw ``type2`` value of a closure from its
+components and linking numbers alone.
+
 ``tensordot_contract`` is the reference for ``rep._contract``: it runs the
 same network and plan, but each pairwise step through ``np.tensordot``.
 """
@@ -61,6 +64,41 @@ def bracket(b: BraidWord, a: complex) -> complex:
 def jones(b: BraidWord, a: complex) -> complex:
     """``V = (-A^3)^(-writhe) <closure>``, the bracket's framing-corrected form."""
     return (-(a**3)) ** -writhe(b) * bracket(b, a)
+
+
+def type2_closed_form(b: BraidWord) -> int:
+    """Raw ``type2`` value of the closure of ``b``: ``2^(c+1)`` for its ``c``
+    components when each component's linking number with all the others is
+    even, and 0 otherwise.
+
+    Letter ``g`` crosses the strands at positions ``|g|`` and ``|g| + 1``
+    with sign ``g / |g|``; a crossing of two components adds half its sign
+    to the linking number of each. The closure joins the strand that ends
+    at a position to the strand that starts there.
+    """
+    at = list(range(b.strands))  # the strand, named by its start, at each position
+    crossings = []
+    for g in b.letters:
+        i = abs(g) - 1
+        crossings.append((at[i], at[i + 1], 1 if g > 0 else -1))
+        at[i], at[i + 1] = at[i + 1], at[i]
+    component = list(range(b.strands))
+
+    def find(x):
+        while component[x] != x:
+            component[x] = x = component[component[x]]
+        return x
+
+    for position, strand in enumerate(at):
+        component[find(strand)] = find(position)
+    twice_linking = {find(x): 0 for x in range(b.strands)}
+    for x, y, sign in crossings:
+        if find(x) != find(y):
+            twice_linking[find(x)] += sign
+            twice_linking[find(y)] += sign
+    if any(total % 4 for total in twice_linking.values()):
+        return 0
+    return 2 ** (len(twice_linking) + 1)
 
 
 def tensordot_contract(network, steps) -> complex:

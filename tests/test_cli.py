@@ -413,6 +413,12 @@ def test_tolerance_flag_must_be_finite(capsys, value):
     (("suite", "--operator", "type3", "--trials", "1", "--tolerance", "-0"), 1),
     (("compute", "--operator", "custom", "--braid", "trefoil", "--alpha", "-0.5j", "--beta", "1"), 0),
     (("compute", "--operator", "custom", "--braid", "trefoil", "--alpha", "1", "--beta", "-1.5e0"), 0),
+    # prefixes that argparse resolves to one option
+    (("compute", "--operator", "type1", "--braid", "trefoil", "--thet", "-2e-1"), 0),
+    (("compute", "--operator", "type1", "--braid", "trefoil", "--t", "-2e-1"), 0),
+    (("verify", "--operator", "type1", "--tol", "-1e-3"), 2),
+    (("suite", "--operator", "type1", "--trials", "1", "--to", "-1e-3"), 2),
+    (("compute", "--operator", "custom", "--braid", "trefoil", "--alp", "-0.5j", "--be", "-1"), 0),
 ])
 def test_negative_values_read_as_with_equals(tmp_path, capsys, argv, code):
     # "--theta -2e-1" reads as "--theta=-2e-1", though argparse alone takes
@@ -421,8 +427,8 @@ def test_negative_values_read_as_with_equals(tmp_path, capsys, argv, code):
     write_operator_file(path, build_type3(0.0))
     argv = [f"custom:{path}" if token == "custom" else token for token in argv]
     joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
-    if argv[-4] == "--alpha":
-        joined = argv[:-4] + [f"--alpha={argv[-3]}", f"--beta={argv[-1]}"]
+    if argv[-4].startswith("--al"):
+        joined = argv[:-4] + [f"{argv[-4]}={argv[-3]}", f"{argv[-2]}={argv[-1]}"]
     split = run_cli(capsys, *argv)
     assert split == run_cli(capsys, *joined)
     assert split[0] == code and "usage" not in split[2]
@@ -437,6 +443,10 @@ def test_negative_values_read_as_with_equals(tmp_path, capsys, argv, code):
     ("suite", "--trials", "1", "--theta", "1"),
     ("verify", "--operator", "type1", "--seed", "-1"),
     ("suite", "--trials", "1", "--seed", "x"),
+    # an ambiguous prefix before a negative value keeps argparse's own error
+    ("verify", "--operator", "type1", "--t", "-1e-3"),
+    ("suite", "--trials", "1", "--t", "-1e-3"),
+    ("compute", "--operator", "type1", "--braid", "trefoil", "--al", "-1"),
 ])
 def test_unread_or_bad_options_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

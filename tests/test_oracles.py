@@ -4,14 +4,18 @@ import cmath
 
 import numpy as np
 import pytest
-from oracles import bracket, jones
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import bracket, jones, type2_closed_form
 
-from gyblink.braids import LINKS, random_braid, stabilize
+from gyblink.braids import LINKS, BraidWord, closure_components, random_braid, stabilize
 from gyblink.enhancement import catalog_enhancement
-from gyblink.invariant import normalized_invariant
+from gyblink.errors import ResourceCapError
+from gyblink.invariant import normalized_invariant, trace_invariant
 
 #: the bracket variable at which type3 and r232 give the Jones value
 A = cmath.exp(3j * cmath.pi / 8)
+TYPE2 = catalog_enhancement("type2", 0.4)
 
 
 def test_bracket_of_small_closures():
@@ -35,3 +39,34 @@ def test_p_normalization_is_the_jones_value(name, theta):
     for _ in range(40):
         b = random_braid(int(rng.integers(1, 5)), int(rng.integers(0, 11)), rng)
         assert abs(normalized_invariant(s, b).value - jones(b, A)) <= 1e-10, b
+
+
+def test_type2_closed_form_of_small_closures():
+    # the Hopf links link once, an odd number; the (2, 4) torus link
+    # "1 1 1 1" links twice
+    names = ("unknot", "hopf+", "hopf-", "trefoil", "unlink3")
+    values = {name: type2_closed_form(LINKS[name].braid) for name in names}
+    assert values == {"unknot": 4, "hopf+": 0, "hopf-": 0, "trefoil": 4, "unlink3": 16}
+    assert type2_closed_form(BraidWord(2, (1, 1, 1, 1))) == 8
+
+
+def _words(max_strands, max_len):
+    # the length is drawn first: lists alone stay a few letters long
+    def word(n, length):
+        letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+        return st.lists(letter, min_size=length, max_size=length).map(lambda ls: BraidWord(n, tuple(ls)))
+
+    return st.integers(2, max_strands).flatmap(lambda n: st.integers(0, max_len).flatmap(lambda length: word(n, length)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(BraidWord(1, ())), _words(64, 120)))
+def test_type2_raw_value_is_the_linking_closed_form(b):
+    # sizes the dense oracle cannot reach; the error scales with 2^(c+1).
+    # Layered words on a dozen or more strands can outgrow PEAK_CAP: a
+    # refused word has no value to check
+    try:
+        got = trace_invariant(TYPE2, b).value
+    except ResourceCapError:
+        assume(False)
+    assert abs(got - type2_closed_form(b)) <= 1e-12 * 2 ** (closure_components(b) + 1), b

@@ -13,7 +13,9 @@ from gyblink.operators import GybType, build_operator, build_r232, build_type1, 
 from gyblink.rep import (
     PEAK_CAP,
     SWEEP_GATE,
+    _apply_block,
     _contract,
+    _fuse,
     _greedy_plan,
     _network,
     _place_blocks,
@@ -75,18 +77,25 @@ def test_plan_over_the_cap_takes_the_sweep(monkeypatch):
 
     monkeypatch.setattr("gyblink.rep._greedy_plan", wide_plan)
     monkeypatch.setattr("gyblink.rep._contract", refuse)
-    assert trace_with_weight(ctx, b) == _sweep(ctx, b, [])
+    assert trace_with_weight(ctx, b) == _sweep(ctx, _fuse(ctx, b), [])
 
 
 def _sweep_words(n, rng):
-    # the empty word, a random word, a word of sigma_1 alone and a split
-    # union, which has no generator at the junction
+    # the empty word, a random word, a word of sigma_1 alone, a split union,
+    # which has no generator at the junction, and words whose letters fuse
+    # across blocks at distance two or more: two generators two apart,
+    # interleaved, and odd generators with even ones between
     yield BraidWord(n, ())
     if n >= 2:
         yield random_braid(n, 8, rng)
         yield BraidWord(n, tuple(int(g) for g in rng.choice([1, -1], size=5)))
     if n >= 3:
         yield juxtapose(random_braid(n // 2, 4, rng), random_braid(n - n // 2, 4, rng))
+        odd = [int(g) * int(rng.choice([1, -1])) for g in rng.choice(range(1, n, 2), size=10)]
+        yield BraidWord(n, tuple(odd[:4] + [2, -2] + odd[4:7] + [int(rng.integers(1, n))] + odd[7:]))
+    if n >= 4:
+        i = int(rng.integers(1, n - 2))
+        yield BraidWord(n, (i, i + 2, -i, i + 2, i, -(i + 2), i))
 
 
 def _dense_trace(ctx, b, blocks):
@@ -123,50 +132,75 @@ def test_sweep_matches_dense_trace(name, theta):
     cases = 0
     for ctx, b, blocks in _sweep_cases(op, range(1, 5 if name == "r232" else 7), seed=3):
         want = _dense_trace(ctx, b, blocks)
-        got = _sweep(ctx, b, _place_blocks(ctx, blocks))
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (ctx.n, b, blocks is None)
+        for got in (trace_with_weight(ctx, b, blocks), *_forced_traces(ctx, b, blocks)):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (ctx.n, b, blocks is None)
         cases += 1
     assert cases >= 40
+
+
+def _custom_ops():
+    # an outer-diagonal (3, 3, 1) operator; type1 with an outer off-diagonal
+    # entry of 1e-300; a dense (2, 3, 1) operator
+    rng = np.random.default_rng(17)
+    r = np.zeros((27, 27), dtype=np.complex128)
+    for a in range(3):
+        for c in range(3):
+            block = [9 * a + 3 * m + c for m in range(3)]
+            r[np.ix_(block, block)] = rng.normal(size=(3, 3)) + 3 * np.eye(3)
+    tiny = build_type1(0.4).r.copy()
+    tiny[0, 5] = 1e-300  # rows 000 and columns 101: both outer labels differ
+    return (load_custom(r, GybType(3, 3, 1)), load_custom(tiny, GybType(2, 3, 1)),
+            load_custom(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)), GybType(2, 3, 1)))
+
+
+CUSTOM = _custom_ops()
 
 
 def test_moved_offsets_count_exact_zeros():
     # a factor is conserved only where every entry that changes its label is
     # exactly zero: an outer off-diagonal entry of 1e-300 passes the
     # tolerance of check_outer_diagonal but moves every factor
-    rng = np.random.default_rng(17)
-    r = np.zeros((27, 27), dtype=np.complex128)  # a (3, 3, 1) operator, outer-diagonal
-    for a in range(3):
-        for c in range(3):
-            block = [9 * a + 3 * m + c for m in range(3)]
-            r[np.ix_(block, block)] = rng.normal(size=(3, 3)) + 3 * np.eye(3)
-    outer_diagonal = load_custom(r, GybType(3, 3, 1))
+    outer_diagonal, barely, dense = CUSTOM
     assert outer_diagonal.moved == (1,)
-    tiny = build_type1(0.4).r.copy()
-    tiny[0, 5] = 1e-300  # rows 000 and columns 101: both outer labels differ
-    barely = load_custom(tiny, GybType(2, 3, 1))
     assert check_outer_diagonal(barely) and barely.moved == (0, 1, 2)
-    dense = load_custom(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)), GybType(2, 3, 1))
     assert dense.moved == (0, 1, 2)
     for op in (outer_diagonal, barely, dense):
-        for ctx, b, blocks in _sweep_cases(op, (1, 2, 3, 4), seed=19):
+        for ctx, b, blocks in _sweep_cases(op, range(1, 5 if op.gtype.d == 3 else 7), seed=19):
             want = _dense_trace(ctx, b, blocks)
-            got = _sweep(ctx, b, _place_blocks(ctx, blocks))
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            for got in (trace_with_weight(ctx, b, blocks), *_forced_traces(ctx, b, blocks)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("op, n, word, count", [
+    (build_type1(0.3), 5, "1 3 1", 2),  # windows two apart share a factor both conserve
+    (build_type1(0.3), 5, "1 2 1", 3),
+    (build_r232(), 5, "1 3 1", 2),  # disjoint windows
+    (build_r232(), 5, "1 2 1", 3),
+    (build_type1(0.3), 2, "1 1 -1 1", 1),
+    (CUSTOM[2], 5, "1 3 1", 3),  # a dense operator moves the shared factor
+    (CUSTOM[2], 5, "1 4 -1 4", 2),
+])
+def test_fused_block_counts(op, n, word, count):
+    blocks = _fuse(make_context(op, n), parse_braid(word, n))
+    assert len(blocks) == count
+    assert all(span == op.gtype.k for _, _, span in blocks)
 
 
 def test_sweep_arrays_hold_dim_times_moved_labels(monkeypatch):
     # a type1 word using every generator moves all but the outer factors:
     # its sweep arrays are dim x dim/4, so it fits a cap of dim^2/4 and runs
-    # there when the plan is over the cap
+    # there when the plan is over the cap; each fused block is applied once
     ctx = make_context(build_type1(0.6), 6)
     b = random_braid(6, 30, seed=5)
     assert {abs(g) for g in b.letters} == {1, 2, 3, 4, 5}
+    blocks = len(_fuse(ctx, b))
+    assert blocks < 30
     want = _dense_trace(ctx, b, None)
     shapes = []
 
-    def record(ctx, g, state):
+    def record(mat, start, span_dim, state, d):
         shapes.append(state.shape)
-        return apply_letter(ctx, g, state)
+        return _apply_block(mat, start, span_dim, state, d)
 
     def wide_plan(legs, d):
         steps, flops, _ = _greedy_plan(legs, d)
@@ -175,12 +209,12 @@ def test_sweep_arrays_hold_dim_times_moved_labels(monkeypatch):
     def refuse(*args):
         raise AssertionError("the network path ran")
 
-    monkeypatch.setattr("gyblink.rep.apply_letter", record)
+    monkeypatch.setattr("gyblink.rep._apply_block", record)
     monkeypatch.setattr("gyblink.rep._greedy_plan", wide_plan)
     monkeypatch.setattr("gyblink.rep._contract", refuse)
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", ctx.dim**2 // 4)
     got = trace_with_weight(ctx, b)
-    assert shapes == [(128, 32)] * 30
+    assert shapes == [(128, 32)] * blocks
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     # a weight block on every factor moves them all: dim x dim is over the cap
     with pytest.raises(ResourceCapError):
@@ -189,15 +223,16 @@ def test_sweep_arrays_hold_dim_times_moved_labels(monkeypatch):
 
 def test_sweep_that_moves_every_factor_keeps_the_trace_order():
     # with every factor moved the sweep is the identity pushed through the
-    # letters and summed along the diagonal in row order, as np.trace sums
+    # fused blocks and summed along the diagonal in row order, as np.trace sums
     rng = np.random.default_rng(23)
     for n, length in ((2, 5), (3, 9), (4, 14), (5, 20)):
         ctx = make_context(build_r232(), n)
         b = random_braid(n, length, rng)
+        word = _fuse(ctx, b)
         state = np.eye(ctx.dim, dtype=np.complex128)
-        for g in b.letters:
-            state = apply_letter(ctx, g, state)
-        assert _sweep(ctx, b, []) == complex(0.0 + 0.0j + np.trace(state))
+        for mat, first, span in word:
+            state = _apply_block(mat, first, 2**span, state, 2)
+        assert _sweep(ctx, word, []) == complex(0.0 + 0.0j + np.trace(state))
 
 
 def test_rep_apply_identity_and_cancellation():
@@ -311,9 +346,9 @@ def test_trace_block_validation():
 def _forced_traces(ctx, b, blocks):
     # Both evaluators on the same word, bypassing the cost-based choice.
     placed = _place_blocks(ctx, blocks)
-    network = _network(ctx, b, placed)
+    network = _network(ctx, _fuse(ctx, b), placed)
     steps, _, _ = _greedy_plan(network[1], ctx.op.gtype.d)
-    return _sweep(ctx, b, placed), _contract(network, steps)
+    return _sweep(ctx, _fuse(ctx, b), placed), _contract(network, steps)
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.op_id)
@@ -336,7 +371,7 @@ def test_sweep_and_network_match_dense(op):
 def test_network_path_is_deterministic(monkeypatch):
     ctx = make_context(build_type1(0.6), 9)
     b = random_braid(9, 30, seed=23)
-    swept = _sweep(ctx, b, [])
+    swept = _sweep(ctx, _fuse(ctx, b), [])
 
     def refuse(*args):
         raise AssertionError("the column sweep ran")
@@ -352,7 +387,7 @@ def test_plan_at_the_cap_stays_on_the_network(monkeypatch):
     # exactly PEAK_CAP: the plan runs, not the ten times slower sweep
     ctx = make_context(build_r232(), 6)
     b = random_braid(6, 69, seed=1)
-    assert _greedy_plan(_network(ctx, b, [])[1], 2)[2] == PEAK_CAP
+    assert _greedy_plan(_network(ctx, _fuse(ctx, b), [])[1], 2)[2] == PEAK_CAP
 
     def refuse(*args):
         raise AssertionError("the column sweep ran")
@@ -363,19 +398,20 @@ def test_plan_at_the_cap_stays_on_the_network(monkeypatch):
 
 
 def test_costly_plan_falls_back_to_sweep(monkeypatch):
-    # a long word on few factors: the greedy plan needs more multiply-adds
-    # than the column sweep, so the sweep must run
+    # a long word on few factors: the greedy plan of its fused blocks needs
+    # more multiply-adds than the column sweep over them, so the sweep must run
     ctx = make_context(build_r232(), 4)
-    b = random_braid(4, 60, seed=2)
-    sweep_cost = ctx.dim**2 * (1 + len(b) * ctx.op.gtype.dim)
-    _, flops, _ = _greedy_plan(_network(ctx, b, [])[1], 2)
-    assert sweep_cost >= SWEEP_GATE and flops >= sweep_cost
+    b = random_braid(4, 60, seed=1)
+    word = _fuse(ctx, b)
+    sweep_cost = ctx.dim**2 * (1 + len(word) * ctx.op.gtype.dim)
+    _, flops, _ = _greedy_plan(_network(ctx, word, [])[1], 2)
+    assert len(word) < len(b) and sweep_cost >= SWEEP_GATE and flops >= sweep_cost
 
     def refuse(*args):
         raise AssertionError("the network path ran")
 
     monkeypatch.setattr("gyblink.rep._contract", refuse)
-    want = _sweep(ctx, b, [])
+    want = _sweep(ctx, word, [])
     assert trace_with_weight(ctx, b) == want
     # with the cap lifted the cheaper sweep still runs, though its array is over the cap
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", 64)
@@ -395,7 +431,13 @@ def test_wide_words_past_the_cap(name):
     assert markov_check(s, b, trials=3, seed=31) <= 1e-9
 
 
-def _seeded_networks(count, seed):
+def _unfused(ctx, b):
+    # one block per letter, the word as it would be without _fuse
+    t = ctx.op.gtype
+    return [(ctx.op.r if g > 0 else ctx.op.r_inv, t.m * (abs(g) - 1) + 1, t.k) for g in b.letters]
+
+
+def _seeded_networks(count, seed, blocks_of=_fuse):
     # ``count`` networks: the four operators, 1-12 strands (r232: 1-7),
     # 0-60 letters, every other group of four with non-identity weight
     # blocks, spanning one factor each or two at the right end
@@ -411,17 +453,23 @@ def _seeded_networks(count, seed):
             blocks = [(mu, 1)] * (ctx.factors - 2) + [(np.kron(mu, mu), 2)]
         elif case % 8 >= 4:
             blocks = [(mu, 1)] * ctx.factors
-        yield ctx, _network(ctx, b, _place_blocks(ctx, blocks))
+        yield ctx, _network(ctx, blocks_of(ctx, b), _place_blocks(ctx, blocks))
 
 
 def test_greedy_plans_are_pinned():
     # the plan fixes the floating-point order of every network trace, so any
     # change to it moves values; plans are integers, so the digest is the
-    # same on every platform
-    plans = [_greedy_plan(network[1], ctx.op.gtype.d) for ctx, network in _seeded_networks(300, 41)]
-    assert sum(len(steps) for steps, _, _ in plans) > 3000
-    digest = hashlib.sha256(repr(plans).encode()).hexdigest()
-    assert digest == "ef839bfc3be165274db2c69b4a2ccdf4ddd87430e421dd0331e167755598ae3d"
+    # same on every platform. The unfused networks, one tensor per letter,
+    # pin the planner itself; the fused ones pin the networks traces run
+    digests = {}
+    for blocks_of in (_unfused, _fuse):
+        plans = [_greedy_plan(network[1], ctx.op.gtype.d) for ctx, network in _seeded_networks(300, 41, blocks_of)]
+        assert sum(len(steps) for steps, _, _ in plans) > 3000
+        digests[blocks_of.__name__] = hashlib.sha256(repr(plans).encode()).hexdigest()
+    assert digests == {
+        "_unfused": "ef839bfc3be165274db2c69b4a2ccdf4ddd87430e421dd0331e167755598ae3d",
+        "_fuse": "f030415ac577cd68f8ca7a1044979b949b74016e7046008fad32efd57d145f05",
+    }
 
 
 def test_contract_matches_tensordot_exactly():
@@ -431,9 +479,9 @@ def test_contract_matches_tensordot_exactly():
     mu = np.array([[0.3, 1.1j], [-0.7, 2.0]])
     two = make_context(op, 2)
     cases = [(ctx, network) for ctx, network in _seeded_networks(60, 43)] + [
-        (two, _network(two, BraidWord(2, ()), [])),  # no tensor at all
-        (two, _network(two, BraidWord(2, ()), _place_blocks(two, [(mu, 1)] * 3))),
-        (two, _network(two, parse_braid("1", 2), [])),  # one letter, closed onto itself
+        (two, _network(two, [], [])),  # no tensor at all
+        (two, _network(two, [], _place_blocks(two, [(mu, 1)] * 3))),
+        (two, _network(two, _fuse(two, parse_braid("1", 2)), [])),  # one letter, closed onto itself
     ]
     twice = 0
     for ctx, network in cases:

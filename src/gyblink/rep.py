@@ -32,8 +32,10 @@ blocks and the context alone:
   not ``dim^2``, so it reaches words on dozens of strands.
 
 ``trace_with_weight`` alone decides size: it runs the cheaper path among
-those whose largest single array fits ``PEAK_CAP`` and raises
-ResourceCapError when none fits, unless ``allow_large`` lifts the cap.
+those whose largest single array fits ``PEAK_CAP``. When neither fits, it
+plans the network of one tensor per letter, whose greedy plan can peak
+lower than the fused one, and raises ResourceCapError if that does not fit
+either, unless ``allow_large`` lifts the cap.
 The cap bounds one array, not the sum of those alive together, so the
 sweep's peak memory can reach twice the cap. A strand count whose dimension
 overflows a float is refused whatever ``allow_large`` says.
@@ -169,8 +171,14 @@ def _place_blocks(ctx: RepContext, blocks) -> list[tuple[np.ndarray, int, int]]:
     return placed
 
 
+def _letters(ctx: RepContext, b: BraidWord) -> list[list]:
+    # One [matrix, first factor, span] block per letter, in the order they act.
+    t, op = ctx.op.gtype, ctx.op
+    return [[op.r if g > 0 else op.r_inv, t.m * (abs(g) - 1) + 1, t.k] for g in b.letters]
+
+
 def _fuse(ctx: RepContext, b: BraidWord) -> list[list]:
-    # The letters as [matrix, first factor, span] blocks in the order they act.
+    # The letters of _letters fused into fewer blocks in the order they act.
     # Two windows ``s`` factors apart share a factor one of them moves when
     # ``s = +-(a - j)`` for a moved offset ``a`` and any offset ``j``. latest:
     # per first factor, the block a letter there joins, dropped once a block
@@ -178,15 +186,15 @@ def _fuse(ctx: RepContext, b: BraidWord) -> list[list]:
     t, op = ctx.op.gtype, ctx.op
     clash = {sign * (a - j) for a in op.moved for j in range(t.k) for sign in (1, -1)}
     blocks, latest = [], {}
-    for g in b.letters:
-        first, mat = t.m * (abs(g) - 1) + 1, op.r if g > 0 else op.r_inv
+    for letter in _letters(ctx, b):
+        first = letter[1]
         if first in latest:
-            latest[first][0] = mat @ latest[first][0]
+            latest[first][0] = letter[0] @ latest[first][0]
         else:
             for s in clash:
                 latest.pop(first + s, None)
-            latest[first] = [mat, first, t.k]
-            blocks.append(latest[first])
+            latest[first] = letter
+            blocks.append(letter)
     return blocks
 
 
@@ -343,8 +351,9 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
             None means the identity weight. Blocks that equal the identity
             are skipped.
         allow_large: lift ``PEAK_CAP``. Without it the evaluator with fewer
-            multiply-adds among those whose largest array fits the cap runs,
-            and ResourceCapError is raised when neither fits.
+            multiply-adds among those whose largest array fits the cap runs;
+            when neither fits, the unfused network runs if its plan fits,
+            and ResourceCapError is raised otherwise.
 
     Returns:
         ``tr(rho(b) . W)`` where ``W`` is the Kronecker product of the blocks.
@@ -364,9 +373,15 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
         if (allow_large or peak <= PEAK_CAP) and (flops < sweep_cost or not sweep_fits):
             return _contract(network, steps)
         if not sweep_fits:
+            # the greedy plan of the fused network can peak above that of the
+            # letter-by-letter one; contract that before refusing
+            network = _network(ctx, _letters(ctx, b), placed)
+            steps, _, letter_peak = _greedy_plan(network[1], t.d)
+            if letter_peak <= PEAK_CAP:
+                return _contract(network, steps)
             raise ResourceCapError(
                 f"a {len(b)}-letter word on {ctx.n} strands needs an array of about "
-                f"2^{min(peak, sweep_peak).bit_length() - 1} elements, over the cap of "
+                f"2^{min(peak, letter_peak, sweep_peak).bit_length() - 1} elements, over the cap of "
                 f"2^{PEAK_CAP.bit_length() - 1}; pass allow_large=True (CLI: --allow-large) to override"
             )
     return _sweep(ctx, word, placed)

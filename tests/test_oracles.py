@@ -70,3 +70,12 @@ def test_type2_raw_value_is_the_linking_closed_form(b):
     except ResourceCapError:
         assume(False)
     assert abs(got - type2_closed_form(b)) <= 1e-12 * 2 ** (closure_components(b) + 1), b
+
+
+def test_type2_word_over_the_fused_plan_cap_is_evaluated():
+    # the sweep cannot hold this word and the greedy plan of its fused blocks
+    # peaks over PEAK_CAP; the plan of one tensor per letter fits, so it
+    # must be evaluated, not refused
+    b = random_braid(14, 140, seed=1043)
+    assert type2_closed_form(b) == 8
+    assert abs(trace_invariant(TYPE2, b).value - 8) <= 1e-12 * 2 ** (closure_components(b) + 1)

@@ -17,6 +17,8 @@ from gyblink.rep import (
     _contract,
     _fuse,
     _greedy_plan,
+    _letters,
+    _moved_factors,
     _network,
     _place_blocks,
     _sweep,
@@ -420,6 +422,25 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
     assert trace_with_weight(ctx, b, allow_large=True) == want
 
 
+def test_fused_plan_over_the_cap_falls_back_to_the_letter_network(monkeypatch):
+    # an r232 word the sweep cannot hold whose greedy plan peaks at 2^26
+    # elements over its fused blocks but at 2^20 over one tensor per letter:
+    # the letter network runs, as it did before words were fused
+    ctx = make_context(build_r232(), 8)
+    b = random_braid(8, 138, seed=21)
+    word = _fuse(ctx, b)
+    assert ctx.dim * 2 ** len(_moved_factors(ctx, word, [])) > PEAK_CAP
+    assert _greedy_plan(_network(ctx, word, [])[1], 2)[2] == 2**26
+    network = _network(ctx, _letters(ctx, b), [])
+    steps, _, peak = _greedy_plan(network[1], 2)
+    assert peak == 2**20
+    assert trace_with_weight(ctx, b) == _contract(network, steps)
+    # refused once the letter network is over the cap too, naming its peak
+    monkeypatch.setattr("gyblink.rep.PEAK_CAP", 2**19)
+    with pytest.raises(ResourceCapError, match=r"about 2\^20 elements, over the cap of 2\^19"):
+        trace_with_weight(ctx, b)
+
+
 @pytest.mark.parametrize("name", ["type1", "type2", "type3", "r232"])
 def test_wide_words_past_the_cap(name):
     s = catalog_enhancement(name, 0.3)
@@ -429,12 +450,6 @@ def test_wide_words_past_the_cap(name):
         assert abs(got - unknot) <= 1e-9 * abs(unknot)
     b = random_braid(24, 20, seed=29)
     assert markov_check(s, b, trials=3, seed=31) <= 1e-9
-
-
-def _unfused(ctx, b):
-    # one block per letter, the word as it would be without _fuse
-    t = ctx.op.gtype
-    return [(ctx.op.r if g > 0 else ctx.op.r_inv, t.m * (abs(g) - 1) + 1, t.k) for g in b.letters]
 
 
 def _seeded_networks(count, seed, blocks_of=_fuse):
@@ -462,12 +477,12 @@ def test_greedy_plans_are_pinned():
     # same on every platform. The unfused networks, one tensor per letter,
     # pin the planner itself; the fused ones pin the networks traces run
     digests = {}
-    for blocks_of in (_unfused, _fuse):
+    for blocks_of in (_letters, _fuse):
         plans = [_greedy_plan(network[1], ctx.op.gtype.d) for ctx, network in _seeded_networks(300, 41, blocks_of)]
         assert sum(len(steps) for steps, _, _ in plans) > 3000
         digests[blocks_of.__name__] = hashlib.sha256(repr(plans).encode()).hexdigest()
     assert digests == {
-        "_unfused": "ef839bfc3be165274db2c69b4a2ccdf4ddd87430e421dd0331e167755598ae3d",
+        "_letters": "ef839bfc3be165274db2c69b4a2ccdf4ddd87430e421dd0331e167755598ae3d",
         "_fuse": "f030415ac577cd68f8ca7a1044979b949b74016e7046008fad32efd57d145f05",
     }
 

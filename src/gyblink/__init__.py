@@ -26,7 +26,6 @@ from .braids import (
     writhe,
 )
 from .enhancement import (
-    CATALOG_WEIGHTS,
     Enhancement,
     EnhancementReport,
     acts_offdiagonally_on_last,
@@ -47,7 +46,6 @@ from .errors import (
     SingularMatrixError,
 )
 from .invariant import (
-    P_FACTORS,
     InvariantResult,
     cross_operator_check,
     markov_check,
@@ -59,7 +57,7 @@ from .invariant import (
     trace_invariant,
 )
 from .operators import (
-    CATALOG_IDS,
+    CATALOG,
     GybOperator,
     GybType,
     build_operator,

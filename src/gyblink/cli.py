@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .braids import LINKS, closure_components, format_braid, load_catalog_file, resolve_braid
-from .enhancement import CATALOG_WEIGHTS, catalog_enhancement, enhancement_report, make_enhancement
+from .enhancement import catalog_enhancement, enhancement_report, make_enhancement
 from .errors import GybError, ResourceCapError
 from .invariant import (
     cross_operator_check,
@@ -37,8 +37,7 @@ from .invariant import (
     trace_invariant,
 )
 from .operators import (
-    _SQ2,
-    CATALOG_IDS,
+    CATALOG,
     build_operator,
     check_outer_diagonal,
     parse_scalar,
@@ -96,7 +95,7 @@ def _resolve(name: str, theta: float | None, alpha: str | None, beta: str | None
         raise GybError(f"--theta must be a finite number, got {theta}")
     at = 0.0 if theta is None else theta
     given = [key for key, value in (("alpha", alpha), ("beta", beta)) if value is not None]
-    if name in CATALOG_WEIGHTS:
+    if name in CATALOG:
         s = catalog_enhancement(name, at)
         op, unread = s.op, ["/".join(given)] if given else []
     else:
@@ -211,13 +210,13 @@ def _suite_rows(names, trials: int, seed: int):
             b = _random_word(rng, 2, 4, 8)
             worst = max(worst, markov_check(s, b, trials=2, seed=int(rng.integers(1 << 31))))
         rows.append((name, "markov", worst))
-        if name in ("type1", "type3", "r232"):
-            x, y = (1.0, 1.0) if name == "type1" else (1.0, _SQ2)
-            worst = max(skein_check(s, _random_word(rng, 2, 4, 8), x, y) for _ in range(trials))
-            rows.append((name, "skein", worst))
-        if name == "type2":
+        y = CATALOG[name].skein_y
+        if y is None:
             worst = max(quartic_check_type2(s, _random_word(rng, 2, 4, 8)) for _ in range(trials))
             rows.append((name, "quartic", worst))
+        else:
+            worst = max(skein_check(s, _random_word(rng, 2, 4, 8), 1.0, y) for _ in range(trials))
+            rows.append((name, "skein", worst))
         worst = max(
             multiplicativity_check(s, _random_word(rng, 1, 3, 6), _random_word(rng, 1, 3, 6))
             for _ in range(trials)
@@ -243,9 +242,9 @@ def cmd_suite(args) -> int:
     tol = _resolve_tolerance(args)
     if args.trials < 1:
         raise GybError(f"--trials must be at least 1, got {args.trials}")
-    names = [args.operator] if args.operator else list(CATALOG_IDS)
+    names = [args.operator] if args.operator else list(CATALOG)
     for name in names:
-        if name not in CATALOG_IDS:
+        if name not in CATALOG:
             raise GybError(f"suite runs on catalog operators only, got {name!r}")
     rows = _suite_rows(names, args.trials, args.seed)
     ok = all(residual <= tol for _, _, residual in rows)
@@ -280,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (compute, verify, suite):
         p.add_argument("--operator", required=p is not suite,
-                       help="catalog id (type1, type2, type3, r232) or custom:<path>")
+                       help=f"catalog id ({', '.join(CATALOG)}) or custom:<path>")
         p.add_argument("--output", choices=("text", "json"), default="text")
     for p in (compute, verify):
         p.add_argument("--theta", type=float, default=None, help="family parameter, default 0")

@@ -33,7 +33,7 @@ import numpy as np
 from . import rep
 from .braids import random_braid
 from .errors import EnhancementError, ShapeError, SingularMatrixError
-from .operators import GybOperator, build_operator, check_outer_diagonal
+from .operators import CATALOG, GybOperator, build_operator, check_outer_diagonal
 from .tensorops import (
     DEFAULT_TOL,
     TensorShape,
@@ -179,20 +179,9 @@ def enhancement_report(s: Enhancement, tol: float = DEFAULT_TOL, seed: int = 0) 
     return EnhancementReport(cond, plus_norm, minus_norm, offdiag, outer, sampled, verdict)
 
 
-#: (alpha, beta) for each catalog operator. All catalog entries use the
-#: identity scaling matrix.
-CATALOG_WEIGHTS: dict[str, tuple[complex, complex]] = {
-    "type1": (np.exp(1j * np.pi / 4), 1.0),
-    "type2": (np.exp(1j * np.pi / 4), 1.0),
-    "type3": (1.0, np.sqrt(2.0)),
-    "r232": (1.0, 2.0 * np.sqrt(2.0)),
-}
-
-
 def catalog_enhancement(name: str, theta: float = 0.0) -> Enhancement:
     """Build a catalog operator together with its published weights."""
-    if name not in CATALOG_WEIGHTS:
+    if name not in CATALOG:
         raise EnhancementError(f"no catalog enhancement named {name!r}")
-    op = build_operator(name, theta)
-    alpha, beta = CATALOG_WEIGHTS[name]
-    return make_enhancement(op, None, alpha, beta)
+    entry = CATALOG[name]
+    return make_enhancement(build_operator(name, theta), None, entry.alpha, entry.beta)

@@ -8,8 +8,8 @@ The raw invariant of a braid ``b`` on ``n`` strands under an enhancement
 with ``N`` the number of represented factors. Its value depends only on
 the link the closure of ``b`` presents, which is what ``markov_check``
 probes numerically. Two derived normalizations are available: ``P``
-rescales so the unknot maps to 1 (known for type1, type3, r232), and
-``tilde`` rescales by a power of ``tr(mu)`` so split unions multiply.
+rescales so the unknot maps to 1 (catalog entries with a ``p_factor``),
+and ``tilde`` rescales by a power of ``tr(mu)`` so split unions multiply.
 """
 
 from __future__ import annotations
@@ -21,15 +21,8 @@ import numpy as np
 from .braids import BraidWord, compose, conjugate, juxtapose, random_braid, stabilize, writhe
 from .enhancement import Enhancement, catalog_enhancement
 from .errors import GybError, ShapeError
-from .operators import _SQ2
+from .operators import CATALOG
 from .rep import make_context, trace_with_weight
-
-#: Unknot-normalization factors for the catalog enhancements that have one.
-P_FACTORS: dict[str, complex] = {
-    "type1": 0.25,
-    "type3": 1.0 / (2.0 * _SQ2),
-    "r232": _SQ2,
-}
 
 
 @dataclass(frozen=True)
@@ -60,19 +53,27 @@ def trace_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> 
 
 
 def normalized_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> InvariantResult:
-    """Unknot-normalized value; only defined for type1, type3, and r232."""
-    factor = P_FACTORS.get(s.op.op_id)
+    """Unknot-normalized value; only defined where ``CATALOG`` has a ``p_factor``."""
+    factor = CATALOG[s.op.op_id].p_factor if s.op.op_id in CATALOG else None
     if factor is None:
         raise GybError(f"no unknot normalization is known for operator {s.op.op_id!r}")
     raw = trace_invariant(s, b, allow_large)
     return InvariantResult(raw.value * factor, raw.operator_id, raw.theta, b, raw.writhe, "P")
 
 
+def _split_factor(s: Enhancement) -> complex:
+    # tr(mu)^(2m - k), the factor a split union picks up
+    g = s.op.gtype
+    if s.mu_trace == 0 and g.k > 2 * g.m:
+        raise GybError(f"tr(mu) is 0, so its power {2 * g.m - g.k} in the tilde normalization is undefined")
+    return s.mu_trace ** (2 * g.m - g.k)
+
+
 def multiplicative_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> InvariantResult:
     """Rescaling by tr(mu)^(2m - k); multiplicative under split union."""
-    g = s.op.gtype
+    factor = _split_factor(s)
     raw = trace_invariant(s, b, allow_large)
-    value = raw.value * s.mu_trace ** (2 * g.m - g.k)
+    value = raw.value * factor
     return InvariantResult(value, raw.operator_id, raw.theta, b, raw.writhe, "tilde")
 
 
@@ -130,11 +131,11 @@ def markov_check(s: Enhancement, b: BraidWord, trials: int = 10, seed: int = 0) 
 
 def multiplicativity_check(s: Enhancement, b1: BraidWord, b2: BraidWord) -> float:
     """Residual of T(split union) = tr(mu)^(2m - k) T(b1) T(b2)."""
-    g = s.op.gtype
+    factor = _split_factor(s)
     t12 = trace_invariant(s, juxtapose(b1, b2)).value
     t1 = trace_invariant(s, b1).value
     t2 = trace_invariant(s, b2).value
-    return abs(t12 - s.mu_trace ** (2 * g.m - g.k) * t1 * t2)
+    return abs(t12 - factor * t1 * t2)
 
 
 def cross_operator_check(b: BraidWord, s3: Enhancement | None = None, s232: Enhancement | None = None) -> float:

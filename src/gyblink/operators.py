@@ -8,7 +8,8 @@ when the braid relation and far commutativity hold for those embeddings;
 
 Catalog entries: three one-parameter unitary families of type (2, 3, 1),
 ``type1``/``type2``/``type3``, each a direct sum of two 4x4 blocks scaled
-by 1/sqrt(2), and one fixed type (2, 3, 2) operator ``r232``.
+by 1/sqrt(2), and one fixed type (2, 3, 2) operator ``r232``. ``CATALOG``
+states each entry's builder and published invariant data once.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,8 +36,6 @@ from .tensorops import (
 )
 
 _SQ2 = np.sqrt(2.0)
-
-CATALOG_IDS = ("type1", "type2", "type3", "r232")
 
 
 @dataclass(frozen=True)
@@ -192,6 +192,28 @@ def build_r232() -> GybOperator:
     return _finish("r232", None, GybType(2, 3, 2), r)
 
 
+@dataclass(frozen=True)
+class CatalogEntry:
+    """The published data of one catalog operator: its builder (of theta),
+    the enhancement weights with the identity ``mu``, the factor that maps
+    the unknot to 1 (None: no such normalization) and the ``y`` of
+    ``T(+) + T(-) = y T(0)`` (None: ``type2``'s four-term relation)."""
+
+    build: Callable[[float], GybOperator]
+    alpha: complex
+    beta: complex
+    p_factor: complex | None
+    skein_y: complex | None
+
+
+CATALOG: dict[str, CatalogEntry] = {
+    "type1": CatalogEntry(build_type1, np.exp(1j * np.pi / 4), 1.0, 0.25, 1.0),
+    "type2": CatalogEntry(build_type2, np.exp(1j * np.pi / 4), 1.0, None, None),
+    "type3": CatalogEntry(build_type3, 1.0, np.sqrt(2.0), 1.0 / (2.0 * _SQ2), _SQ2),
+    "r232": CatalogEntry(lambda theta: build_r232(), 1.0, 2.0 * np.sqrt(2.0), _SQ2, _SQ2),
+}
+
+
 def load_custom(matrix, gtype: GybType, op_id: str = "custom") -> GybOperator:
     """Wrap a user matrix as an operator of the given type.
 
@@ -276,17 +298,11 @@ def build_operator(name: str, theta: float = 0.0) -> GybOperator:
     ``theta`` only reaches the one-parameter families; ``r232`` and custom
     operators have no parameter and ignore it.
     """
-    if name == "type1":
-        return build_type1(theta)
-    if name == "type2":
-        return build_type2(theta)
-    if name == "type3":
-        return build_type3(theta)
-    if name == "r232":
-        return build_r232()
+    if name in CATALOG:
+        return CATALOG[name].build(theta)
     if name.startswith("custom:"):
         return read_operator_file(name.split(":", 1)[1])
-    raise GybError(f"unknown operator {name!r}; expected one of {CATALOG_IDS} or custom:<path>")
+    raise GybError(f"unknown operator {name!r}; expected one of {tuple(CATALOG)} or custom:<path>")
 
 
 def unitarity_residual(op: GybOperator) -> float:

@@ -113,16 +113,6 @@ def _apply_block(mat: np.ndarray, start: int, span_dim: int, state: np.ndarray, 
     return np.matmul(mat, state3).reshape(shape)
 
 
-def apply_letter(ctx: RepContext, g: int, state: np.ndarray) -> np.ndarray:
-    """Apply one represented letter to a (dim, batch) array of columns."""
-    i = abs(g)
-    if i < 1 or i > ctx.n - 1:
-        raise ShapeError(f"letter {g} is out of range for {ctx.n} strands")
-    t = ctx.op.gtype
-    mat = ctx.op.r if g > 0 else ctx.op.r_inv
-    return _apply_block(mat, t.m * (i - 1) + 1, t.dim, state, t.d)
-
-
 def rep_apply(ctx: RepContext, b: BraidWord, v) -> np.ndarray:
     """Apply the represented braid to a state vector of length ``ctx.dim``."""
     if b.strands != ctx.n:
@@ -130,9 +120,9 @@ def rep_apply(ctx: RepContext, b: BraidWord, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (ctx.dim,):
         raise ShapeError(f"state must have length {ctx.dim}, got shape {v.shape}")
-    state = v.reshape(ctx.dim, 1)
-    for g in b.letters:
-        state = apply_letter(ctx, g, state)
+    state, d = v.reshape(ctx.dim, 1), ctx.op.gtype.d
+    for mat, pos, span in _letters(ctx, b):
+        state = _apply_block(mat, pos, d**span, state, d)
     return state.ravel()
 
 
@@ -205,10 +195,10 @@ def _moved_factors(ctx: RepContext, word, placed) -> set[int]:
     return moved
 
 
-def _sweep(ctx: RepContext, word, placed) -> complex:
+def _sweep(ctx: RepContext, word, placed, moved) -> complex:
     # One column per label of the moved factors, summing the basis vectors with
     # those labels; diag: each row's flat position in its moved labels' column.
-    d, moved = ctx.op.gtype.d, _moved_factors(ctx, word, placed)
+    d = ctx.op.gtype.d
     cols = d ** len(moved)
     if len(moved) == ctx.factors:
         diag = np.arange(0, ctx.dim * cols, cols + 1)
@@ -363,9 +353,9 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
     placed, word = _place_blocks(ctx, blocks), _fuse(ctx, b)
     t = ctx.op.gtype
     size = 1 + len(word) * t.dim + sum(t.d**span for _, _, span in placed)
-    # under the gate with every factor moved (so under PEAK_CAP), the sweep runs: skip counting
-    count = ctx.factors if ctx.dim**2 * size < SWEEP_GATE else len(_moved_factors(ctx, word, placed))
-    sweep_peak, sweep_cost = ctx.dim * t.d**count, ctx.dim * t.d**count * size
+    moved = _moved_factors(ctx, word, placed)
+    sweep_peak = ctx.dim * t.d ** len(moved)
+    sweep_cost = sweep_peak * size
     sweep_fits = allow_large or sweep_peak <= PEAK_CAP
     if sweep_cost >= SWEEP_GATE or not sweep_fits:
         network = _network(ctx, word, placed)
@@ -384,4 +374,4 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
                 f"2^{min(peak, letter_peak, sweep_peak).bit_length() - 1} elements, over the cap of "
                 f"2^{PEAK_CAP.bit_length() - 1}; pass allow_large=True (CLI: --allow-large) to override"
             )
-    return _sweep(ctx, word, placed)
+    return _sweep(ctx, word, placed, moved)

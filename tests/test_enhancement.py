@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gyblink.enhancement import (
-    CATALOG_WEIGHTS,
     acts_offdiagonally_on_last,
     catalog_enhancement,
     condition_i_residual,
@@ -13,32 +12,53 @@ from gyblink.enhancement import (
     sampled_perpendicularity,
 )
 from gyblink.errors import EnhancementError, ShapeError, SingularMatrixError
-from gyblink.operators import CATALOG_IDS, GybOperator, GybType, build_type1, build_type2, load_custom
+from gyblink.operators import (
+    CATALOG,
+    GybOperator,
+    GybType,
+    build_r232,
+    build_type1,
+    build_type2,
+    build_type3,
+    load_custom,
+)
 from gyblink.tensorops import TensorShape, dagger, identity, max_abs
 
 SQ2 = np.sqrt(2.0)
 ALPHA = np.exp(1j * np.pi / 4)
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG_IDS))
+@pytest.mark.parametrize("name", sorted(CATALOG))
 def test_catalog_weights(name):
-    alpha, beta = CATALOG_WEIGHTS[name]
+    entry = CATALOG[name]
     s = catalog_enhancement(name, theta=0.6)
-    assert s.alpha == alpha and s.beta == beta
+    assert s.alpha == entry.alpha and s.beta == entry.beta
     assert s.mu_is_identity
     assert s.mu_trace == pytest.approx(2.0)
 
 
 def test_catalog_weight_values():
-    assert CATALOG_WEIGHTS["type1"] == (ALPHA, 1.0)
-    assert CATALOG_WEIGHTS["type2"] == (ALPHA, 1.0)
-    assert CATALOG_WEIGHTS["type3"] == (1.0, SQ2)
-    assert CATALOG_WEIGHTS["r232"] == (1.0, 2 * SQ2)
+    # (alpha, beta, unknot factor, skein y) as published, in catalog order
+    assert list(CATALOG) == ["type1", "type2", "type3", "r232"]
+    assert {name: (e.alpha, e.beta, e.p_factor, e.skein_y) for name, e in CATALOG.items()} == {
+        "type1": (ALPHA, 1.0, 0.25, 1.0),
+        "type2": (ALPHA, 1.0, None, None),
+        "type3": (1.0, SQ2, 1.0 / (2.0 * np.sqrt(2.0)), SQ2),
+        "r232": (1.0, 2 * SQ2, SQ2, SQ2),
+    }
+    assert [CATALOG[name].build for name in ("type1", "type2", "type3")] == [build_type1, build_type2, build_type3]
+    r232 = CATALOG["r232"].build(0.7)
+    assert r232.theta is None and np.array_equal(r232.r, build_r232().r)
+
+
+def test_unknown_catalog_enhancement():
+    with pytest.raises(EnhancementError, match="no catalog enhancement named 'nope'"):
+        catalog_enhancement("nope")
 
 
 def test_condition_i_exact_for_identity_weight():
     # identity tensor power commutes with anything, so exactly zero
-    for name in CATALOG_IDS:
+    for name in CATALOG:
         s = catalog_enhancement(name, theta=1.1)
         assert condition_i_residual(s.op, s.mu) == 0.0
 
@@ -167,6 +187,19 @@ def test_report_verdicts():
     assert structural.sampled_perp_max < 1e-9
 
 
+def test_report_sampled_only_verdict():
+    # type1 conjugated by H (x) H (x) H is still braided with the type1
+    # weights, but neither it nor its defects keep the structural shape
+    h = np.array([[1, 1], [1, -1]]) / SQ2
+    u3 = np.kron(np.kron(h, h), h)
+    op = load_custom(u3 @ build_type1(0.4).r @ u3.conj().T, GybType(2, 3, 1))
+    report = enhancement_report(make_enhancement(op, None, ALPHA, 1.0))
+    assert report.verdict == "sampled-only"
+    assert report.outer_diagonal_ok is False and report.offdiagonal_ok is False
+    assert report.defect_plus_norm > 0.1 and report.defect_minus_norm > 0.1
+    assert report.sampled_perp_max < 1e-12
+
+
 def test_report_flags_wrong_weights():
     op = build_type2(0.3)
     bad = make_enhancement(op, None, ALPHA, 3.0)
@@ -176,7 +209,7 @@ def test_report_flags_wrong_weights():
 
 
 def test_sampled_perpendicularity_catalog_small():
-    for name in sorted(CATALOG_IDS):
+    for name in sorted(CATALOG):
         s = catalog_enhancement(name, theta=0.8)
         assert sampled_perpendicularity(s, 3, samples=10, seed=3) < 1e-9
 

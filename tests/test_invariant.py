@@ -5,7 +5,6 @@ from gyblink.braids import BraidWord, LINKS, juxtapose, parse_braid, random_brai
 from gyblink.enhancement import catalog_enhancement, make_enhancement
 from gyblink.errors import GybError, ResourceCapError, ShapeError
 from gyblink.invariant import (
-    P_FACTORS,
     cross_operator_check,
     markov_check,
     multiplicative_invariant,
@@ -15,6 +14,7 @@ from gyblink.invariant import (
     skein_check,
     trace_invariant,
 )
+from gyblink.operators import CATALOG, GybType, load_custom
 
 SQ2 = np.sqrt(2.0)
 
@@ -74,7 +74,7 @@ def test_link_values_ignore_theta(name):
 
 
 def test_unknot_normalization():
-    for name, factor in P_FACTORS.items():
+    for name in [name for name, entry in CATALOG.items() if entry.p_factor is not None]:
         s = catalog_enhancement(name, 0.3)
         r = normalized_invariant(s, unlink(1))
         assert r.value == pytest.approx(1.0, abs=1e-12)
@@ -113,6 +113,17 @@ def test_tilde_multiplies_over_split_union():
         )
 
 
+def test_traceless_weight_has_no_tilde_normalization():
+    # tr(mu) = 0 and 2m - k = -1: the split-union factor is undefined
+    s = make_enhancement(load_custom(np.eye(8), GybType(2, 3, 1)), np.diag([1, -1]))
+    with pytest.raises(GybError, match="tr\\(mu\\) is 0"):
+        multiplicative_invariant(s, TREFOIL)
+    with pytest.raises(GybError, match="tr\\(mu\\) is 0"):
+        multiplicativity_check(s, TREFOIL, HOPF_P)
+    # the raw invariant is still defined
+    assert trace_invariant(s, TREFOIL).value == 0
+
+
 def test_multiplicativity_check_residuals():
     for name in ("type1", "type2", "type3", "r232"):
         s = catalog_enhancement(name, 0.8)
@@ -147,6 +158,8 @@ def test_quartic_relation_type2():
         assert quartic_check_type2(s, b) < 1e-9
     with pytest.raises(GybError):
         quartic_check_type2(catalog_enhancement("type1", 0.9), TREFOIL)
+    with pytest.raises(ShapeError):
+        quartic_check_type2(s, unlink(1))
 
 
 def test_markov_moves_fix_the_value():
@@ -181,7 +194,7 @@ def test_dimension_cap_propagates(monkeypatch):
         with pytest.raises(ResourceCapError):
             evaluate(s, b)
     assert trace_invariant(s, b, allow_large=True).value == want
-    assert normalized_invariant(s, b, allow_large=True).value == want * P_FACTORS["type1"]
+    assert normalized_invariant(s, b, allow_large=True).value == want * CATALOG["type1"].p_factor
     assert multiplicative_invariant(s, b, allow_large=True).value == want / 2
     # the float-range refusal holds whatever allow_large says
     with pytest.raises(ResourceCapError):

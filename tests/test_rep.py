@@ -22,7 +22,6 @@ from gyblink.rep import (
     _network,
     _place_blocks,
     _sweep,
-    apply_letter,
     dense_representation,
     make_context,
     rep_apply,
@@ -79,7 +78,8 @@ def test_plan_over_the_cap_takes_the_sweep(monkeypatch):
 
     monkeypatch.setattr("gyblink.rep._greedy_plan", wide_plan)
     monkeypatch.setattr("gyblink.rep._contract", refuse)
-    assert trace_with_weight(ctx, b) == _sweep(ctx, _fuse(ctx, b), [])
+    word = _fuse(ctx, b)
+    assert trace_with_weight(ctx, b) == _sweep(ctx, word, [], _moved_factors(ctx, word, []))
 
 
 def _sweep_words(n, rng):
@@ -234,7 +234,7 @@ def test_sweep_that_moves_every_factor_keeps_the_trace_order():
         state = np.eye(ctx.dim, dtype=np.complex128)
         for mat, first, span in word:
             state = _apply_block(mat, first, 2**span, state, 2)
-        assert _sweep(ctx, word, []) == complex(0.0 + 0.0j + np.trace(state))
+        assert _sweep(ctx, word, [], _moved_factors(ctx, word, [])) == complex(0.0 + 0.0j + np.trace(state))
 
 
 def test_rep_apply_identity_and_cancellation():
@@ -254,7 +254,7 @@ def test_rep_apply_validation():
     with pytest.raises(ShapeError):
         rep_apply(ctx, parse_braid("1", 3), np.zeros(4))
     with pytest.raises(ShapeError):
-        apply_letter(ctx, 3, np.zeros((ctx.dim, 1), dtype=np.complex128))
+        dense_representation(ctx, parse_braid("1", 2))
 
 
 def test_braid_relation_on_states():
@@ -347,10 +347,10 @@ def test_trace_block_validation():
 
 def _forced_traces(ctx, b, blocks):
     # Both evaluators on the same word, bypassing the cost-based choice.
-    placed = _place_blocks(ctx, blocks)
-    network = _network(ctx, _fuse(ctx, b), placed)
+    placed, word = _place_blocks(ctx, blocks), _fuse(ctx, b)
+    network = _network(ctx, word, placed)
     steps, _, _ = _greedy_plan(network[1], ctx.op.gtype.d)
-    return _sweep(ctx, _fuse(ctx, b), placed), _contract(network, steps)
+    return _sweep(ctx, word, placed, _moved_factors(ctx, word, placed)), _contract(network, steps)
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.op_id)
@@ -373,7 +373,8 @@ def test_sweep_and_network_match_dense(op):
 def test_network_path_is_deterministic(monkeypatch):
     ctx = make_context(build_type1(0.6), 9)
     b = random_braid(9, 30, seed=23)
-    swept = _sweep(ctx, _fuse(ctx, b), [])
+    word = _fuse(ctx, b)
+    swept = _sweep(ctx, word, [], _moved_factors(ctx, word, []))
 
     def refuse(*args):
         raise AssertionError("the column sweep ran")
@@ -413,7 +414,7 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
         raise AssertionError("the network path ran")
 
     monkeypatch.setattr("gyblink.rep._contract", refuse)
-    want = _sweep(ctx, word, [])
+    want = _sweep(ctx, word, [], _moved_factors(ctx, word, []))
     assert trace_with_weight(ctx, b) == want
     # with the cap lifted the cheaper sweep still runs, though its array is over the cap
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", 64)

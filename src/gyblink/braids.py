@@ -96,13 +96,15 @@ def juxtapose(a: BraidWord, b: BraidWord) -> BraidWord:
 
 def closure_components(b: BraidWord) -> int:
     """Number of link components of the braid closure."""
-    perm = list(range(b.strands))
+    # no letter touches a strand past 1 + max|g|: each of those closes alone
+    top = 1 + max((abs(g) for g in b.letters), default=0)
+    perm = list(range(top))
     for g in b.letters:
         i = abs(g) - 1
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    seen = [False] * b.strands
-    cycles = 0
-    for start in range(b.strands):
+    seen = [False] * top
+    cycles = b.strands - top
+    for start in range(top):
         if seen[start]:
             continue
         cycles += 1

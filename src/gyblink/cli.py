@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--catalog-file", default=None, help="extra links, one name<TAB>strands<TAB>word per line")
     compute.add_argument("--alpha", default=None, help="writhe weight for custom operators, e.g. '0.707+0.707i'")
     compute.add_argument("--beta", default=None, help="strand weight for custom operators")
-    compute.add_argument("--allow-large", action="store_true", help="lift the cap on the largest array a "
-                         "trace holds; a dimension that overflows a float is still refused")
+    compute.add_argument("--allow-large", action="store_true", help="run the cheapest evaluator when none fits "
+                         "the array cap, instead of refusing; a dimension that overflows a float is still refused")
     suite.add_argument("--trials", type=int, default=25, help="random braids per relation")
 
     compute.set_defaults(func=cmd_compute)

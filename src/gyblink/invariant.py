@@ -41,8 +41,8 @@ def trace_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> 
     """Evaluate the raw invariant of the closure of ``b``.
 
     The weighted trace comes from ``rep.trace_with_weight``; the ``rep``
-    module docstring describes its two evaluators, the size cap that
-    ``allow_large`` lifts and the ResourceCapError raised past it.
+    module docstring describes its two evaluators, the size cap, the
+    ResourceCapError raised past it and what ``allow_large`` runs instead.
     """
     ctx = make_context(s.op, b.strands)
     blocks = None if s.mu_is_identity else [(s.mu, 1)] * ctx.factors

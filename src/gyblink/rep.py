@@ -31,11 +31,11 @@ blocks and the context alone:
   floating-point order. Its cost follows the plan's largest intermediates,
   not ``dim^2``, so it reaches words on dozens of strands.
 
-``trace_with_weight`` alone decides size: it runs the cheaper path among
-those whose largest single array fits ``PEAK_CAP``. When neither fits, it
-plans the network of one tensor per letter, whose greedy plan can peak
-lower than the fused one, and raises ResourceCapError if that does not fit
-either, unless ``allow_large`` lifts the cap.
+``trace_with_weight`` alone decides size: of the sweep, the fused network
+and, when neither fits, the network of one tensor per letter, the one with
+the fewest multiply-adds whose largest single array fits ``PEAK_CAP`` runs.
+When none fits it raises ResourceCapError, or with ``allow_large`` runs the
+cheapest anyway, so that option never changes the path of a word that fits.
 The cap bounds one array, not the sum of those alive together, so the
 sweep's peak memory can reach twice the cap. A strand count whose dimension
 overflows a float is refused whatever ``allow_large`` says.
@@ -53,6 +53,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -330,6 +331,12 @@ def _contract(network, steps) -> complex:
     return value
 
 
+def _planned(ctx: RepContext, word, placed):
+    network = _network(ctx, word, placed)
+    steps, flops, peak = _greedy_plan(network[1], ctx.op.gtype.d)
+    return flops, peak, partial(_contract, network, steps)
+
+
 def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: bool = False) -> complex:
     """Trace of the represented braid composed with a product weight.
 
@@ -340,10 +347,10 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
             to right; their spans must cover all ``ctx.factors`` factors.
             None means the identity weight. Blocks that equal the identity
             are skipped.
-        allow_large: lift ``PEAK_CAP``. Without it the evaluator with fewer
-            multiply-adds among those whose largest array fits the cap runs;
-            when neither fits, the unfused network runs if its plan fits,
-            and ResourceCapError is raised otherwise.
+        allow_large: where no evaluator fits ``PEAK_CAP``, run the one with
+            the fewest multiply-adds instead of raising ResourceCapError.
+            Otherwise the cheapest that fits runs: the sweep, the fused
+            network or, when neither fits, the network of the letters.
 
     Returns:
         ``tr(rho(b) . W)`` where ``W`` is the Kronecker product of the blocks.
@@ -356,22 +363,18 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
     moved = _moved_factors(ctx, word, placed)
     sweep_peak = ctx.dim * t.d ** len(moved)
     sweep_cost = sweep_peak * size
-    sweep_fits = allow_large or sweep_peak <= PEAK_CAP
-    if sweep_cost >= SWEEP_GATE or not sweep_fits:
-        network = _network(ctx, word, placed)
-        steps, flops, peak = _greedy_plan(network[1], t.d)
-        if (allow_large or peak <= PEAK_CAP) and (flops < sweep_cost or not sweep_fits):
-            return _contract(network, steps)
-        if not sweep_fits:
-            # the greedy plan of the fused network can peak above that of the
-            # letter-by-letter one; contract that before refusing
-            network = _network(ctx, _letters(ctx, b), placed)
-            steps, _, letter_peak = _greedy_plan(network[1], t.d)
-            if letter_peak <= PEAK_CAP:
-                return _contract(network, steps)
-            raise ResourceCapError(
-                f"a {len(b)}-letter word on {ctx.n} strands needs an array of about "
-                f"2^{min(peak, letter_peak, sweep_peak).bit_length() - 1} elements, over the cap of "
-                f"2^{PEAK_CAP.bit_length() - 1}; pass allow_large=True (CLI: --allow-large) to override"
-            )
-    return _sweep(ctx, word, placed, moved)
+    if sweep_cost < SWEEP_GATE and sweep_peak <= PEAK_CAP:
+        return _sweep(ctx, word, placed, moved)
+    # (multiply-adds, largest array, evaluation), ties to the first. The letter network
+    # can plan a lower peak than the fused one; planning it for every word costs too much
+    candidates = [(sweep_cost, sweep_peak, partial(_sweep, ctx, word, placed, moved)), _planned(ctx, word, placed)]
+    if all(peak > PEAK_CAP for _, peak, _ in candidates):
+        candidates.append(_planned(ctx, _letters(ctx, b), placed))
+    fitting = [c for c in candidates if c[1] <= PEAK_CAP]
+    if not (fitting or allow_large):
+        raise ResourceCapError(
+            f"a {len(b)}-letter word on {ctx.n} strands needs an array of about "
+            f"2^{min(peak for _, peak, _ in candidates).bit_length() - 1} elements, over the cap of "
+            f"2^{PEAK_CAP.bit_length() - 1}; pass allow_large=True (CLI: --allow-large) to override"
+        )
+    return min(fitting or candidates, key=lambda c: c[0])[2]()

@@ -141,6 +141,8 @@ def test_closure_components_examples():
     assert closure_components(LINKS["hopf+"].braid) == 2
     assert closure_components(LINKS["trefoil"].braid) == 1
     assert closure_components(LINKS["figure8"].braid) == 1
+    # strands past the highest letter are counted, not walked
+    assert closure_components(BraidWord(10**9, (1, 2, 1))) == 10**9 - 1
 
 
 def test_random_braid_regression_anchors():

@@ -154,6 +154,16 @@ def test_catalog_file_names_win_over_words(tmp_path, capsys):
     assert payload["writhe"] == 3
 
 
+def test_huge_catalog_record_costs_nothing_until_used(tmp_path, capsys):
+    # loading a record does not allocate per strand; using it hits the float-range refusal
+    path = tmp_path / "links.tsv"
+    path.write_text("big\t1000000000\t1\n")
+    code, _, err = run_cli(capsys, "compute", "--operator", "type1", "--braid", "unknot", "--catalog-file", str(path))
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, "compute", "--operator", "type1", "--braid", "big", "--catalog-file", str(path))
+    assert code == 3 and out == "" and "overflows a float" in err
+
+
 def test_compute_exit_codes(capsys):
     code, _, err = run_cli(capsys, "compute", "--operator", "nope", "--braid", "unknot")
     assert code == 2 and "error:" in err

@@ -416,11 +416,70 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
     monkeypatch.setattr("gyblink.rep._contract", refuse)
     want = _sweep(ctx, word, [], _moved_factors(ctx, word, []))
     assert trace_with_weight(ctx, b) == want
-    # with the cap lifted the cheaper sweep still runs, though its array is over the cap
+    # with nothing under the cap, allow_large runs the cheapest of all three:
+    # the letter network, with fewer multiply-adds than the sweep
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", 64)
     with pytest.raises(ResourceCapError):
         trace_with_weight(ctx, b)
-    assert trace_with_weight(ctx, b, allow_large=True) == want
+    letters = _network(ctx, _letters(ctx, b), [])
+    steps, letter_flops, _ = _greedy_plan(letters[1], 2)
+    assert letter_flops < sweep_cost
+    seen = _recording_contract(monkeypatch)
+    assert trace_with_weight(ctx, b, allow_large=True) == _contract(letters, steps)
+    assert seen == [len(b)]
+
+
+def _recording_contract(monkeypatch):
+    # route _contract through a wrapper; the list it returns collects the
+    # tensor count of every network a trace contracts
+    seen = []
+
+    def record(network, steps):
+        seen.append(len(network[0]))
+        return _contract(network, steps)
+
+    monkeypatch.setattr("gyblink.rep._contract", record)
+    return seen
+
+
+def test_allow_large_keeps_the_path_of_a_word_that_fits(monkeypatch):
+    # under a cap of 1024 neither the sweep nor the 16-block fused network of
+    # this word fits, but its 21-letter network does. allow_large only
+    # replaces a refusal, so it runs that same network, not the fused one
+    ctx = make_context(build_type1(0.3), 6)
+    b = random_braid(6, 21, seed=247)
+    assert len(_fuse(ctx, b)) == 16
+    monkeypatch.setattr("gyblink.rep.PEAK_CAP", 1024)
+    seen = _recording_contract(monkeypatch)
+    capped = trace_with_weight(ctx, b)
+    assert trace_with_weight(ctx, b, allow_large=True) == capped
+    assert seen == [21, 21]
+
+
+@pytest.mark.parametrize("cap", [PEAK_CAP, 2**10])
+def test_allow_large_changes_no_value_that_fits(monkeypatch, cap):
+    # seeded words on all four operators, a third with a mu on every factor:
+    # each that evaluates under the cap has the same value with allow_large.
+    # The small cap sends words down every branch of the rule, refusals too
+    monkeypatch.setattr("gyblink.rep.PEAK_CAP", cap)
+    rng = np.random.default_rng(53)
+    refused = 0
+    for case in range(96):
+        op = OPS[case % 4]
+        n = int(rng.integers(1, 7 if op.op_id == "r232" else 11))
+        ctx = make_context(op, n)
+        b = random_braid(n, int(rng.integers(0, 41)), rng)
+        blocks = None
+        if case % 3 == 2:
+            mu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            blocks = [(mu, 1)] * ctx.factors
+        try:
+            capped = trace_with_weight(ctx, b, blocks)
+        except ResourceCapError:
+            refused += 1
+            continue
+        assert trace_with_weight(ctx, b, blocks, allow_large=True) == capped
+    assert (refused > 0) == (cap < PEAK_CAP)
 
 
 def test_fused_plan_over_the_cap_falls_back_to_the_letter_network(monkeypatch):

@@ -140,19 +140,15 @@ class NamedLink:
 
     name: str
     braid: BraidWord
-    components: int
 
-    def __post_init__(self):
-        got = closure_components(self.braid)
-        if got != self.components:
-            raise BraidParseError(
-                f"{self.name}: braid closure has {got} components, record says {self.components}"
-            )
+    @property
+    def components(self) -> int:
+        """Link components of the closure, counted from the braid on each read."""
+        return closure_components(self.braid)
 
 
 def _named(name: str, strands: int, word: str) -> NamedLink:
-    b = parse_braid(word, strands)
-    return NamedLink(name, b, closure_components(b))
+    return NamedLink(name, parse_braid(word, strands))
 
 
 #: Built-in links. ``unlinkN`` is the trivial N-component link as the
@@ -208,6 +204,5 @@ def load_catalog_file(path) -> dict[str, NamedLink]:
             strands = int(strands_text)
         except ValueError:
             raise BraidParseError(f"{path}:{lineno}: bad strand count {strands_text!r}") from None
-        b = parse_braid(word, strands)
-        links[name] = NamedLink(name, b, closure_components(b))
+        links[name] = NamedLink(name, parse_braid(word, strands))
     return links

@@ -45,6 +45,7 @@ from .operators import (
     verify_far_commutativity,
     verify_gybe,
 )
+from .tensorops import DEFAULT_TOL
 
 SCHEMA_VERSION = 1
 
@@ -53,7 +54,7 @@ def _resolve_tolerance(args) -> float:
     # --tolerance wins over GYBLINK_TOLERANCE; whichever is used must be finite and >= 0
     source, text = "--tolerance", args.tolerance
     if text is None:
-        source, text = "GYBLINK_TOLERANCE", os.environ.get("GYBLINK_TOLERANCE", "1e-9")
+        source, text = "GYBLINK_TOLERANCE", os.environ.get("GYBLINK_TOLERANCE", DEFAULT_TOL)
     try:
         tol = float(text)
     except ValueError:
@@ -294,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--catalog-file", default=None, help="extra links, one name<TAB>strands<TAB>word per line")
     compute.add_argument("--alpha", default=None, help="writhe weight for custom operators, e.g. '0.707+0.707i'")
     compute.add_argument("--beta", default=None, help="strand weight for custom operators")
-    compute.add_argument("--allow-large", action="store_true", help="run the cheapest evaluator when none fits "
-                         "the array cap, instead of refusing; a dimension that overflows a float is still refused")
+    compute.add_argument("--allow-large", action="store_true", help="when no evaluator fits the array cap, run the "
+                         "one with the smallest largest array instead of refusing; a dimension that overflows a "
+                         "float is still refused")
     suite.add_argument("--trials", type=int, default=25, help="random braids per relation")
 
     compute.set_defaults(func=cmd_compute)

@@ -25,17 +25,19 @@ blocks and the context alone:
   ``B d^k dim d^M`` multiply-adds for ``B`` blocks; two ``dim d^M``
   arrays live at once. Words under ``SWEEP_GATE`` always take it.
 * the network path treats each block and weight block as a tensor,
-  closes each factor's wire onto itself and contracts the network pairwise
-  in a greedy order. Each pairwise step transposes and reshapes both
-  tensors to matrices for one ``np.dot``, as ``np.tensordot`` would, in its
-  floating-point order. Its cost follows the plan's largest intermediates,
-  not ``dim^2``, so it reaches words on dozens of strands.
+  closes each factor's wire onto itself (a block alone on a factor is
+  traced over it) and contracts the network pairwise in a greedy order.
+  Each pairwise step transposes and reshapes both tensors to matrices for
+  one ``np.dot``, as ``np.tensordot`` would, in its floating-point order.
+  Its cost follows the plan's largest intermediates, not ``dim^2``, so it
+  reaches words on dozens of strands.
 
 ``trace_with_weight`` alone decides size: of the sweep, the fused network
 and, when neither fits, the network of one tensor per letter, the one with
 the fewest multiply-adds whose largest single array fits ``PEAK_CAP`` runs.
-When none fits it raises ResourceCapError, or with ``allow_large`` runs the
-cheapest anyway, so that option never changes the path of a word that fits.
+When none fits it raises ResourceCapError naming the smallest largest array
+among them, or with ``allow_large`` runs that evaluator anyway, so that
+option never changes the path of a word that fits.
 The cap bounds one array, not the sum of those alive together, so the
 sweep's peak memory can reach twice the cap. A strand count whose dimension
 overflows a float is refused whatever ``allow_large`` says.
@@ -218,13 +220,14 @@ def _network(ctx: RepContext, word, placed):
     """The closed network of ``tr(rho(b) . W)`` for the blocks ``word`` of
     ``_fuse`` and the weight blocks ``placed``.
 
-    Returns ``(tensors, legs, loop_factor)``: one ``(d,)*2s`` tensor per
-    weight block and per block of the word in the order they act, output
-    legs first; the integer label of each tensor axis; and ``d`` to the
-    number of factors nothing acts on, each of which closes into a loop.
-    Factor ``j`` enters with label ``j`` and its last output label is
-    renamed to ``j``, which closes the wire without an identity tensor. A
-    tensor that is both first and last on a factor carries that label twice.
+    Returns ``(tensors, legs, loop_factor)``: one tensor per weight block
+    and per block of the word in the order they act, output legs first; the
+    integer label of each tensor axis; and ``d`` to the number of factors
+    nothing acts on, each of which closes into a loop. Factor ``j`` enters
+    with label ``j`` and its last output label is renamed to ``j``, which
+    closes the wire without an identity tensor. A block alone on a factor
+    would carry that label twice, so it is traced over those factors here:
+    every returned label sits on exactly two tensors.
     """
     t = ctx.op.gtype
     fresh = itertools.count(ctx.factors)
@@ -236,22 +239,26 @@ def _network(ctx: RepContext, word, placed):
         legs.append(out + wires[pos - 1:pos - 1 + span])
         wires[pos - 1:pos - 1 + span] = out
     close = {w: j for j, w in enumerate(wires)}
-    legs = [[close.get(x, x) for x in ls] for ls in legs]
+    for i, ls in enumerate(legs):
+        ls = [close.get(x, x) for x in ls]
+        legs[i] = [x for x in ls if ls.count(x) == 1]
+        if len(legs[i]) < len(ls):
+            axis = {x: n for n, x in enumerate(dict.fromkeys(ls))}
+            tensors[i] = np.einsum(tensors[i], [axis[x] for x in ls], [axis[x] for x in legs[i]])
     return tensors, legs, t.d ** sum(w == j for j, w in enumerate(wires))
 
 
 def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int]:
     """Pairwise contraction order for a network with the given leg labels.
 
-    Every label occurs twice in the network, so a tensor's open legs are a
-    bitmask (a label it carries twice is traced out first) and merging two
-    tensors keeps the symmetric difference. Only tensors that share a leg
-    are candidates; the greedy cost is ``size(out) - size(a) - size(b)``
-    with ties broken on the smaller, then the larger tensor id, so the
-    order, and with it the floating-point result, is fixed. Merged tensors
-    take the next id after the inputs. Returns the steps as id pairs, the
-    multiply-add count of the whole contraction and the element count of
-    its largest tensor.
+    Every label sits on two tensors, as ``_network`` leaves them, so a
+    tensor's open legs are a bitmask and merging two tensors keeps the
+    symmetric difference. Only tensors that share a leg are candidates; the
+    greedy cost is ``size(out) - size(a) - size(b)`` with ties broken on the
+    smaller, then the larger tensor id, so the order, and with it the
+    floating-point result, is fixed. Merged tensors take the next id after
+    the inputs. Returns the steps as id pairs, the multiply-add count of the
+    whole contraction and the element count of its largest tensor.
     """
     flops = 0
     masks, first = [], {}
@@ -259,13 +266,11 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int]:
     for i, ls in enumerate(legs):
         mask = 0
         for x in ls:
-            mask ^= 1 << x
+            mask |= 1 << x
             j = first.setdefault(x, i)
             if j != i:
                 nbrs[i].add(j)
                 nbrs[j].add(i)
-        if mask.bit_count() < len(ls):
-            flops += d ** len(set(ls))
         masks.append(mask)
 
     # no mask, nor the union of two, has more bits than there are labels
@@ -305,14 +310,9 @@ def _contract(network, steps) -> complex:
     # Execute a plan from _greedy_plan on a network from _network. Each step
     # is the transpose, reshape and np.dot that np.tensordot would run on the
     # shared legs, in the same floating-point order, without its overhead.
+    # What no step merges is a tensor with no legs left, a factor of the value.
     tensors, legs, loop_factor = network
     tensors, legs = list(tensors), list(legs)
-    for i, ls in enumerate(legs):
-        if len(set(ls)) < len(ls):
-            keep = [x for x in ls if ls.count(x) == 1]
-            axis = {x: n for n, x in enumerate(dict.fromkeys(ls))}
-            tensors[i] = np.einsum(tensors[i], [axis[x] for x in ls], [axis[x] for x in keep])
-            legs[i] = keep
     for i, j in steps:
         a, b, la = tensors[i], tensors[j], legs[i]
         rest = {x: n for n, x in enumerate(legs[j])}
@@ -347,10 +347,11 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
             to right; their spans must cover all ``ctx.factors`` factors.
             None means the identity weight. Blocks that equal the identity
             are skipped.
-        allow_large: where no evaluator fits ``PEAK_CAP``, run the one with
-            the fewest multiply-adds instead of raising ResourceCapError.
-            Otherwise the cheapest that fits runs: the sweep, the fused
-            network or, when neither fits, the network of the letters.
+        allow_large: where no evaluator fits ``PEAK_CAP``, run the one
+            whose largest array is smallest, the one the refusal names,
+            instead of raising ResourceCapError. Otherwise the cheapest that
+            fits runs: the sweep, the fused network or, when neither fits,
+            the network of the letters.
 
     Returns:
         ``tr(rho(b) . W)`` where ``W`` is the Kronecker product of the blocks.
@@ -370,11 +371,12 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
     candidates = [(sweep_cost, sweep_peak, partial(_sweep, ctx, word, placed, moved)), _planned(ctx, word, placed)]
     if all(peak > PEAK_CAP for _, peak, _ in candidates):
         candidates.append(_planned(ctx, _letters(ctx, b), placed))
-    fitting = [c for c in candidates if c[1] <= PEAK_CAP]
-    if not (fitting or allow_large):
+    # under the cap the fewest multiply-adds; over it the smallest largest array
+    _, peak, evaluate = min(candidates, key=lambda c: (max(c[1], PEAK_CAP), c[0]))
+    if peak > PEAK_CAP and not allow_large:
         raise ResourceCapError(
             f"a {len(b)}-letter word on {ctx.n} strands needs an array of about "
-            f"2^{min(peak for _, peak, _ in candidates).bit_length() - 1} elements, over the cap of "
+            f"2^{peak.bit_length() - 1} elements, over the cap of "
             f"2^{PEAK_CAP.bit_length() - 1}; pass allow_large=True (CLI: --allow-large) to override"
         )
-    return min(fitting or candidates, key=lambda c: c[0])[2]()
+    return evaluate()

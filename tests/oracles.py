@@ -8,7 +8,10 @@ word. It reads nothing from the package but the braid word itself.
 components and linking numbers alone.
 
 ``tensordot_contract`` is the reference for ``rep._contract``: it runs the
-same network and plan, but each pairwise step through ``np.tensordot``.
+same network and plan, but each pairwise step through ``np.tensordot``. It
+takes the network as ``rep._network`` leaves it, every label on two tensors.
+
+None of them imports from the package but ``gyblink.braids``.
 """
 
 from __future__ import annotations
@@ -105,12 +108,6 @@ def tensordot_contract(network, steps) -> complex:
     """Execute a plan from ``rep._greedy_plan`` with one ``np.tensordot`` per step."""
     tensors, legs, loop_factor = network
     tensors, legs = list(tensors), list(legs)
-    for i, ls in enumerate(legs):
-        if len(set(ls)) < len(ls):
-            keep = [x for x in ls if ls.count(x) == 1]
-            axis = {x: n for n, x in enumerate(dict.fromkeys(ls))}
-            tensors[i] = np.einsum(tensors[i], [axis[x] for x in ls], [axis[x] for x in keep])
-            legs[i] = keep
     for i, j in steps:
         la, lb = legs[i], legs[j]
         shared = [x for x in la if x in lb]

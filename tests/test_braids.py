@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from gyblink.braids import (
     LINKS,
     BraidWord,
-    NamedLink,
     closure_components,
     compose,
     conjugate,
@@ -174,8 +173,6 @@ def test_catalog_links():
     assert LINKS["unknot"].components == 1
     assert LINKS["unlink5"].braid == BraidWord(5)
     assert LINKS["hopf+"].components == 2
-    with pytest.raises(BraidParseError):
-        NamedLink("bad", parse_braid("1 1", 2), 5)
 
 
 def test_resolve_braid_prefers_names():

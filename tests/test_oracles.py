@@ -1,6 +1,8 @@
 """The evaluator against oracles that share no code with it."""
 
+import ast
 import cmath
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,19 @@ from gyblink.invariant import normalized_invariant, trace_invariant
 #: the bracket variable at which type3 and r232 give the Jones value
 A = cmath.exp(3j * cmath.pi / 8)
 TYPE2 = catalog_enhancement("type2", 0.4)
+
+
+def test_oracles_import_only_braids_from_the_package():
+    # the oracles stay independent of the evaluator: of the package they may
+    # read only the braid words themselves
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    assert {m for m in modules if m.split(".")[0] in ("gyblink", "")} == {"gyblink.braids"}
 
 
 def test_bracket_of_small_closures():

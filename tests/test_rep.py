@@ -1,4 +1,6 @@
 import hashlib
+import math
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -416,14 +418,15 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
     monkeypatch.setattr("gyblink.rep._contract", refuse)
     want = _sweep(ctx, word, [], _moved_factors(ctx, word, []))
     assert trace_with_weight(ctx, b) == want
-    # with nothing under the cap, allow_large runs the cheapest of all three:
-    # the letter network, with fewer multiply-adds than the sweep
+    # with nothing under the cap, allow_large runs the smallest largest array:
+    # the letter network ties the sweep at 16,384 elements and needs fewer
+    # multiply-adds, 3,619,840 against 3,948,544
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", 64)
     with pytest.raises(ResourceCapError):
         trace_with_weight(ctx, b)
     letters = _network(ctx, _letters(ctx, b), [])
-    steps, letter_flops, _ = _greedy_plan(letters[1], 2)
-    assert letter_flops < sweep_cost
+    steps, letter_flops, letter_peak = _greedy_plan(letters[1], 2)
+    assert letter_peak == ctx.dim**2 and letter_flops < sweep_cost
     seen = _recording_contract(monkeypatch)
     assert trace_with_weight(ctx, b, allow_large=True) == _contract(letters, steps)
     assert seen == [len(b)]
@@ -440,6 +443,25 @@ def _recording_contract(monkeypatch):
 
     monkeypatch.setattr("gyblink.rep._contract", record)
     return seen
+
+
+def test_allow_large_runs_the_array_the_refusal_names(monkeypatch):
+    # a type1 word none of whose evaluators fits: the sweep holds 2^32
+    # elements with 2^42 multiply-adds, the fused plan peaks at 2^30 with
+    # 2^43. The refusal names 2^30, and allow_large runs that fused plan, not
+    # the cheaper sweep; both evaluators are stubbed, so nothing large runs
+    ctx = make_context(build_type1(0.4), 16)
+    b = random_braid(16, 320, seed=2)
+    word = _fuse(ctx, b)
+    assert ctx.dim * 2 ** len(_moved_factors(ctx, word, [])) == 2**32
+    assert _greedy_plan(_network(ctx, word, [])[1], 2)[2] == 2**30
+    seen = []
+    monkeypatch.setattr("gyblink.rep._sweep", lambda *args: seen.append("sweep"))
+    monkeypatch.setattr("gyblink.rep._contract", lambda network, steps: seen.append(len(network[0])))
+    with pytest.raises(ResourceCapError, match=r"about 2\^30 elements, over the cap of 2\^22"):
+        trace_with_weight(ctx, b)
+    trace_with_weight(ctx, b, allow_large=True)
+    assert seen == [len(word)]
 
 
 def test_allow_large_keeps_the_path_of_a_word_that_fits(monkeypatch):
@@ -542,9 +564,51 @@ def test_greedy_plans_are_pinned():
         assert sum(len(steps) for steps, _, _ in plans) > 3000
         digests[blocks_of.__name__] = hashlib.sha256(repr(plans).encode()).hexdigest()
     assert digests == {
-        "_letters": "ef839bfc3be165274db2c69b4a2ccdf4ddd87430e421dd0331e167755598ae3d",
-        "_fuse": "f030415ac577cd68f8ca7a1044979b949b74016e7046008fad32efd57d145f05",
+        "_letters": "cd5f2010c4e1e81ac86411a47ae56ff49e377bd1cab8b369fe3a726c7aa0f0f3",
+        "_fuse": "58774e5d573aea2265d94b70e94f8e29e90380201a471a630f25c629265aec17",
     }
+
+
+def test_network_labels_join_two_tensors():
+    # _network traces a block alone on a factor over it, so no tensor repeats
+    # a label and every label joins two tensors, as _greedy_plan and
+    # _contract assume
+    for blocks_of in (_letters, _fuse):
+        for _, (_, legs, _) in _seeded_networks(300, 41, blocks_of):
+            assert all(len(set(ls)) == len(ls) for ls in legs)
+            counts = Counter(x for ls in legs for x in ls)
+            assert set(counts.values()) <= {2}
+
+
+def _traced_wires(ctx, network):
+    # factors one tensor alone opened and closed, so _network traced them:
+    # factor j's wire closes on label j, so these are the factors neither
+    # closed into a loop nor on a label two tensors share
+    _, legs, loop_factor = network
+    shared = {x for ls in legs for x in ls if x < ctx.factors}
+    return ctx.factors - len(shared) - round(math.log(loop_factor, ctx.op.gtype.d))
+
+
+def test_lone_blocks_match_dense(monkeypatch):
+    # words that leave a block alone on a factor: one letter, split unions,
+    # whose windows overlap only where the halves meet, and a mu on every
+    # factor, alone where no letter acts. The network path runs every one
+    rng = np.random.default_rng(61)
+    monkeypatch.setattr("gyblink.rep.SWEEP_GATE", 0)
+    monkeypatch.setattr("gyblink.rep._sweep", lambda *args: pytest.fail("the column sweep ran"))
+    traced = 0
+    for op in OPS:
+        for n in range(2, 6 if op.op_id == "r232" else 8):
+            ctx = make_context(op, n)
+            mu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            half = random_braid(n // 2, 3, rng), random_braid(n - n // 2, 3, rng)
+            for b in (BraidWord(n, (int(rng.integers(1, n)),)), BraidWord(n, (-1,)), juxtapose(*half)):
+                for blocks in (None, [(mu, 1)] * ctx.factors):
+                    network = _network(ctx, _fuse(ctx, b), _place_blocks(ctx, blocks))
+                    traced += _traced_wires(ctx, network) > 0
+                    want = _dense_trace(ctx, b, blocks)
+                    assert abs(trace_with_weight(ctx, b, blocks) - want) <= 1e-12 * max(1.0, abs(want)), (op, b)
+    assert traced >= 100
 
 
 def test_contract_matches_tensordot_exactly():
@@ -558,9 +622,9 @@ def test_contract_matches_tensordot_exactly():
         (two, _network(two, [], _place_blocks(two, [(mu, 1)] * 3))),
         (two, _network(two, _fuse(two, parse_braid("1", 2)), [])),  # one letter, closed onto itself
     ]
-    twice = 0
+    traced = 0
     for ctx, network in cases:
-        twice += any(len(set(ls)) < len(ls) for ls in network[1])
+        traced += _traced_wires(ctx, network) > 0
         steps, _, _ = _greedy_plan(network[1], ctx.op.gtype.d)
         assert _contract(network, steps) == tensordot_contract(network, steps)
-    assert twice >= 3
+    assert traced >= 3

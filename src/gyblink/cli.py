@@ -6,8 +6,11 @@ evidence), ``suite`` sweeps the algebraic relations over seeded random
 braids. Exit codes: 0 success, 1 verification failure, 2 usage or parse
 error, 3 resource cap.
 
-JSON output is schema-versioned and canonical (sorted keys, no spaces),
-so identical inputs with identical seeds produce byte-identical bytes.
+Each command returns its exit code, a JSON payload and the lines of its
+text report; ``main`` alone prints, adding ``schema_version`` to the
+payload, and maps a ``GybError`` to exit 2 (exit 3 for a resource cap).
+JSON output is canonical (sorted keys, no spaces), so identical inputs
+with identical seeds produce byte-identical bytes.
 ``verify`` and ``suite`` read their default tolerance from
 ``GYBLINK_TOLERANCE`` when set.
 """
@@ -23,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .braids import LINKS, closure_components, format_braid, load_catalog_file, resolve_braid
+from .braids import LINKS, closure_components, format_braid, load_catalog_file, random_braid, resolve_braid
 from .enhancement import catalog_enhancement, enhancement_report, make_enhancement
 from .errors import GybError, ResourceCapError
 from .invariant import (
@@ -84,13 +87,24 @@ def _ignored(options, what: str) -> None:
         print(f"warning: {option} is ignored for {what}", file=sys.stderr)
 
 
+def _operator_line(payload) -> str:
+    theta = "-" if payload["theta"] is None else f"{payload['theta']:.10g}"
+    return f"operator: {payload['operator']}  theta: {theta}"
+
+
+def _verdict(payload, lines, tol: float, ok: bool):
+    """Close a ``verify`` or ``suite`` result with its tolerance and pass line."""
+    payload.update({"tolerance": tol, "pass": ok})
+    lines.append(f"{'PASS' if ok else 'FAIL'} (tolerance {tol:g})")
+    return (0 if ok else 1), payload, lines
+
+
 def _resolve(name: str, theta: float | None, alpha: str | None, beta: str | None):
     """Build operator ``name`` at ``theta`` (None means 0) and enhance it.
 
     A catalog id takes its published weights, any other operator the given
     ``alpha`` and ``beta``; without weights the enhancement is None.
-    Returns the operator, the enhancement and the names of the given values
-    that the result does not read.
+    Warns once for each given value that the result does not read.
     """
     if theta is not None and not math.isfinite(theta):
         raise GybError(f"--theta must be a finite number, got {theta}")
@@ -105,12 +119,12 @@ def _resolve(name: str, theta: float | None, alpha: str | None, beta: str | None
         unread = []
     if theta is not None and op.theta is None:
         unread.insert(0, "theta")
-    return op, s, unread
+    _ignored(unread, f"operator {name}")
+    return op, s
 
 
-def cmd_compute(args) -> int:
-    _, s, unread = _resolve(args.operator, args.theta, args.alpha, args.beta)
-    _ignored(unread, f"operator {args.operator}")
+def cmd_compute(args):
+    _, s = _resolve(args.operator, args.theta, args.alpha, args.beta)
     if s is None:
         raise GybError("custom operators need explicit --alpha and --beta weights")
     catalog = dict(LINKS)
@@ -119,14 +133,9 @@ def cmd_compute(args) -> int:
     b = resolve_braid(args.braid, args.strands, catalog)
     if args.strands not in (None, b.strands):
         _ignored(["strands"], f"catalog link {args.braid.strip()} on {b.strands} strands")
-    if args.normalization == "raw":
-        result = trace_invariant(s, b, args.allow_large)
-    elif args.normalization == "P":
-        result = normalized_invariant(s, b, args.allow_large)
-    else:
-        result = multiplicative_invariant(s, b, args.allow_large)
+    invariant = {"raw": trace_invariant, "P": normalized_invariant, "tilde": multiplicative_invariant}
+    result = invariant[args.normalization](s, b, args.allow_large)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "operator": result.operator_id,
         "theta": result.theta,
         "braid": format_braid(b),
@@ -136,23 +145,18 @@ def cmd_compute(args) -> int:
         "value": {"re": result.value.real, "im": result.value.imag},
         "normalization": result.normalization,
     }
-    if args.output == "json":
-        print(_dumps(payload))
-    else:
-        theta_text = "-" if result.theta is None else f"{result.theta:.10g}"
-        print(f"operator: {result.operator_id}  theta: {theta_text}")
-        print(
-            f"braid: {format_braid(b) or '(identity)'}  strands: {b.strands}"
-            f"  writhe: {result.writhe}  components: {payload['components']}"
-        )
-        print(f"value ({result.normalization}): {_fmt_value(result.value)}")
-    return 0
+    lines = [
+        _operator_line(payload),
+        f"braid: {format_braid(b) or '(identity)'}  strands: {b.strands}"
+        f"  writhe: {result.writhe}  components: {payload['components']}",
+        f"value ({result.normalization}): {_fmt_value(result.value)}",
+    ]
+    return 0, payload, lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     tol = _resolve_tolerance(args)
-    op, s, unread = _resolve(args.operator, args.theta, None, None)
-    _ignored(unread, f"operator {args.operator}")
+    op, s = _resolve(args.operator, args.theta, None, None)
     g = op.gtype
     checks = {
         "unitarity": unitarity_residual(op),
@@ -165,15 +169,16 @@ def cmd_verify(args) -> int:
     if report is not None:
         ok = ok and checks["unitarity"] <= tol and report.verdict != "failed"
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "operator": op.op_id,
         "theta": op.theta,
         "gtype": [g.d, g.k, g.m],
         "residuals": checks,
         "outer_diagonal": outer,
-        "tolerance": tol,
-        "pass": ok,
     }
+    lines = [f"{_operator_line(payload)}  type: ({g.d},{g.k},{g.m})"]
+    lines += [f"{key} residual: {value:.3e}" for key, value in checks.items()]
+    if outer is not None:
+        lines.append(f"outer diagonal: {'yes' if outer else 'no'}")
     if report is not None:
         payload["enhancement"] = {
             "commutation_residual": report.condition_i_residual,
@@ -183,29 +188,20 @@ def cmd_verify(args) -> int:
             "sampled_trace_max": report.sampled_perp_max,
             "verdict": report.verdict,
         }
-    if args.output == "json":
-        print(_dumps(payload))
-    else:
-        theta_text = "-" if op.theta is None else f"{op.theta:.10g}"
-        print(f"operator: {op.op_id}  theta: {theta_text}  type: ({g.d},{g.k},{g.m})")
-        for key, value in checks.items():
-            print(f"{key} residual: {value:.3e}")
-        if outer is not None:
-            print(f"outer diagonal: {'yes' if outer else 'no'}")
-        if report is not None:
-            print(f"defect norms: {report.defect_plus_norm:.3e} / {report.defect_minus_norm:.3e}")
-            print(f"defects off-diagonal on last factor: {'yes' if report.offdiagonal_ok else 'no'}")
-            print(f"sampled trace max: {report.sampled_perp_max:.3e}")
-            print(f"verdict: {report.verdict}")
-        print(f"{'PASS' if ok else 'FAIL'} (tolerance {tol:g})")
-    return 0 if ok else 1
+        lines += [
+            f"defect norms: {report.defect_plus_norm:.3e} / {report.defect_minus_norm:.3e}",
+            f"defects off-diagonal on last factor: {'yes' if report.offdiagonal_ok else 'no'}",
+            f"sampled trace max: {report.sampled_perp_max:.3e}",
+            f"verdict: {report.verdict}",
+        ]
+    return _verdict(payload, lines, tol, ok)
 
 
 def _suite_rows(names, trials: int, seed: int):
     rng = np.random.default_rng(seed)
     rows, enhanced = [], {}
     for name in names:
-        s = enhanced[name] = _resolve(name, 0.4, None, None)[1]
+        s = enhanced[name] = catalog_enhancement(name, 0.4)
         worst = 0.0
         for _ in range(trials):
             b = _random_word(rng, 2, 4, 8)
@@ -233,13 +229,11 @@ def _suite_rows(names, trials: int, seed: int):
 
 
 def _random_word(rng, n_lo: int, n_hi: int, max_len: int):
-    from .braids import random_braid
-
     n = int(rng.integers(n_lo, n_hi + 1))
     return random_braid(n, int(rng.integers(1, max_len + 1)), rng)
 
 
-def cmd_suite(args) -> int:
+def cmd_suite(args):
     tol = _resolve_tolerance(args)
     if args.trials < 1:
         raise GybError(f"--trials must be at least 1, got {args.trials}")
@@ -248,24 +242,13 @@ def cmd_suite(args) -> int:
         if name not in CATALOG:
             raise GybError(f"suite runs on catalog operators only, got {name!r}")
     rows = _suite_rows(names, args.trials, args.seed)
-    ok = all(residual <= tol for _, _, residual in rows)
-    if args.output == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "trials": args.trials,
-            "seed": args.seed,
-            "tolerance": tol,
-            "relations": [
-                {"operator": op, "relation": rel, "residual": res} for op, rel, res in rows
-            ],
-            "pass": ok,
-        }
-        print(_dumps(payload))
-    else:
-        for op, rel, res in rows:
-            print(f"{op:12s} {rel:18s} max residual {res:.3e}")
-        print(f"{'PASS' if ok else 'FAIL'} (tolerance {tol:g})")
-    return 0 if ok else 1
+    payload = {
+        "trials": args.trials,
+        "seed": args.seed,
+        "relations": [{"operator": op, "relation": rel, "residual": res} for op, rel, res in rows],
+    }
+    lines = [f"{op:12s} {rel:18s} max residual {res:.3e}" for op, rel, res in rows]
+    return _verdict(payload, lines, tol, all(residual <= tol for _, _, residual in rows))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=float, default=None, help="family parameter, default 0")
     for p in (verify, suite):
         p.add_argument("--tolerance", type=float, default=None,
-                       help="absolute tolerance (default from GYBLINK_TOLERANCE or 1e-9)")
+                       help=f"absolute tolerance (default from GYBLINK_TOLERANCE or {DEFAULT_TOL:g})")
         p.add_argument("--seed", type=_seed, default=0)
 
     compute.add_argument("--braid", required=True, help="braid word text or a catalog link name")
@@ -327,10 +310,12 @@ def main(argv=None) -> int:
         # one line per warning, without the library's file and source line
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            return args.func(args)
+            code, payload, lines = args.func(args)
         except GybError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3 if isinstance(exc, ResourceCapError) else 2
+    print(_dumps({"schema_version": SCHEMA_VERSION, **payload}) if args.output == "json" else "\n".join(lines))
+    return code
 
 
 def run() -> None:

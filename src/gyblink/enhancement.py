@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,8 @@ from .tensorops import (
 
 @dataclass(frozen=True, eq=False)
 class Enhancement:
-    """Operator plus ``(mu, alpha, beta)`` with both defects cached."""
+    """Operator plus ``(mu, alpha, beta)`` with both defects, the trace of ``mu``
+    and whether ``mu`` is the identity cached."""
 
     op: GybOperator
     mu: np.ndarray
@@ -57,11 +59,11 @@ class Enhancement:
     defect_plus: np.ndarray
     defect_minus: np.ndarray
 
-    @property
+    @cached_property
     def mu_trace(self) -> complex:
         return complex(np.trace(self.mu))
 
-    @property
+    @cached_property
     def mu_is_identity(self) -> bool:
         return bool(np.array_equal(self.mu, identity(self.op.gtype.d)))
 

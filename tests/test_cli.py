@@ -529,3 +529,22 @@ def test_cli_imports_no_undeclared_dependency():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["[]"]
+
+
+def test_module_entry_point_exit_codes(capsys):
+    # `python -m gyblink.cli` goes through cli.run(), which turns main's code into the exit status
+    src = str(Path(gyblink.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def child(*argv):
+        return subprocess.run([sys.executable, "-m", "gyblink.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    argv = ["compute", "--operator", "type1", "--braid", "trefoil", "--output", "json"]
+    result = child(*argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == run_cli(capsys, *argv)[1]
+    result = child("compute", "--operator", "type1", "--braid", "1 x 2")
+    assert result.returncode == 2 and result.stderr.startswith("error: ")
+    result = child("compute", "--operator", "type1", "--braid", "", "--strands", "2000")
+    assert result.returncode == 3 and result.stderr.startswith("error: ")

@@ -138,6 +138,15 @@ def test_mat_inverse_singular():
         mat_inverse(almost)
 
 
+def test_mat_inverse_refuses_a_large_residual():
+    # numpy inverts the 10x10 Hilbert matrix without complaint, but
+    # a @ inv is far from the identity at its condition number (~1e13)
+    i = np.arange(10)
+    hilbert = 1.0 / (i[:, None] + i[None, :] + 1)
+    with pytest.raises(SingularMatrixError, match="inverse residual exceeds tolerance"):
+        mat_inverse(hilbert)
+
+
 def test_mat_inverse_rejects_nan():
     # the residual of a NaN "inverse" is NaN, which must count as a failure
     with pytest.raises(SingularMatrixError):

@@ -163,7 +163,7 @@ def cmd_verify(args):
         "braid_relation": verify_gybe(op),
         "far_commutation": verify_far_commutativity(op),
     }
-    outer = check_outer_diagonal(op, tol) if (g.k, g.m) == (3, 1) else None
+    outer = check_outer_diagonal(op, tol)
     report = None if s is None else enhancement_report(s, tol, seed=args.seed)
     ok = checks["braid_relation"] <= tol and checks["far_commutation"] <= tol
     if report is not None:

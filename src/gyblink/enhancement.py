@@ -168,7 +168,7 @@ def enhancement_report(s: Enhancement, tol: float = DEFAULT_TOL, seed: int = 0) 
     offdiag = acts_offdiagonally_on_last(s.defect_plus, dshape, tol) and acts_offdiagonally_on_last(
         s.defect_minus, dshape, tol
     )
-    outer = check_outer_diagonal(s.op, tol) if (g.k, g.m) == (3, 1) else None
+    outer = check_outer_diagonal(s.op, tol)
     sampled = max(sampled_perpendicularity(s, n, seed=seed) for n in (2, 3, 4))
     if plus_norm <= tol and minus_norm <= tol:
         verdict = "strong"

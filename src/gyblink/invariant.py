@@ -14,6 +14,7 @@ and ``tilde`` rescales by a power of ``tr(mu)`` so split unions multiply.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,25 @@ class InvariantResult:
     normalization: str
 
 
+def _power(z: complex, n: int, name: str) -> complex:
+    # Python's complex power raises ZeroDivisionError or OverflowError, or
+    # returns NaN, once z**|n| leaves the float range
+    try:
+        p = z**n
+    except (ZeroDivisionError, OverflowError):
+        p = complex("nan")
+    if not cmath.isfinite(p):
+        raise GybError(f"{name}^{n} is not a finite number for {name} = {z}")
+    return p
+
+
+def _finite(value: complex) -> complex:
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise GybError(f"the invariant {value} is not a finite number")
+    return value
+
+
 def trace_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> InvariantResult:
     """Evaluate the raw invariant of the closure of ``b``.
 
@@ -48,8 +68,8 @@ def trace_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> 
     blocks = None if s.mu_is_identity else [(s.mu, 1)] * ctx.factors
     tr = trace_with_weight(ctx, b, blocks, allow_large)
     w = writhe(b)
-    value = s.alpha ** (-w) * s.beta ** (-b.strands) * tr
-    return InvariantResult(complex(value), s.op.op_id, s.op.theta, b, w, "raw")
+    value = _power(s.alpha, -w, "alpha") * _power(s.beta, -b.strands, "beta") * complex(tr)
+    return InvariantResult(_finite(value), s.op.op_id, s.op.theta, b, w, "raw")
 
 
 def normalized_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> InvariantResult:
@@ -66,15 +86,14 @@ def _split_factor(s: Enhancement) -> complex:
     g = s.op.gtype
     if s.mu_trace == 0 and g.k > 2 * g.m:
         raise GybError(f"tr(mu) is 0, so its power {2 * g.m - g.k} in the tilde normalization is undefined")
-    return s.mu_trace ** (2 * g.m - g.k)
+    return _power(s.mu_trace, 2 * g.m - g.k, "tr(mu)")
 
 
 def multiplicative_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> InvariantResult:
     """Rescaling by tr(mu)^(2m - k); multiplicative under split union."""
     factor = _split_factor(s)
     raw = trace_invariant(s, b, allow_large)
-    value = raw.value * factor
-    return InvariantResult(value, raw.operator_id, raw.theta, b, raw.writhe, "tilde")
+    return InvariantResult(_finite(raw.value * factor), raw.operator_id, raw.theta, b, raw.writhe, "tilde")
 
 
 def _with_front_letter(b: BraidWord, g: int) -> BraidWord:

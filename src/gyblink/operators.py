@@ -47,8 +47,8 @@ class GybType:
     m: int
 
     def __post_init__(self):
-        if self.d < 1 or self.k < 1 or self.m < 1:
-            raise ShapeError(f"type parameters must be positive, got {self}")
+        if self.d < 2 or self.k < 1 or self.m < 1:
+            raise ShapeError(f"type parameters must be positive with d >= 2, got {self}")
         if self.m >= self.k:
             raise ShapeError(f"stride must be smaller than span, got {self}")
 
@@ -90,97 +90,67 @@ def _checked_theta(theta: float) -> float:
         warnings.warn(
             f"theta={theta} lies outside [0, pi]; the matrices stay well defined",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of build_type1/2/3, past _family
         )
     return theta
-
-
-def _two_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # 8x8 direct sum: block a on the first four lexicographic basis
-    # vectors (first factor fixed to its first state), block b on the rest.
-    out = np.zeros((8, 8), dtype=np.complex128)
-    out[:4, :4] = a
-    out[4:, 4:] = b
-    return out
 
 
 def _finish(op_id: str, theta: float | None, gtype: GybType, r: np.ndarray) -> GybOperator:
     return GybOperator(gtype, r, mat_inverse(r, tol=1e-12), op_id, theta)
 
 
+def _family(op_id: str, theta: float, blocks: Callable[[complex, complex], tuple]) -> GybOperator:
+    # 8x8 direct sum over 1/sqrt(2): the first 4x4 block of blocks(e^{i theta},
+    # e^{2i theta}) on the first four lexicographic basis vectors (first
+    # factor fixed to its first state), the second block on the rest
+    t = _checked_theta(theta)
+    a, b = blocks(np.exp(1j * t), np.exp(2j * t))
+    r = np.zeros((8, 8), dtype=np.complex128)
+    r[:4, :4] = a
+    r[4:, 4:] = b
+    return _finish(op_id, t, GybType(2, 3, 1), r / _SQ2)
+
+
 def build_type1(theta: float = 0.0) -> GybOperator:
     """First (2, 3, 1) family; unitary for every theta."""
-    t = _checked_theta(theta)
-    e1, e2 = np.exp(1j * t), np.exp(2j * t)
-    a = np.array(
-        [
-            [1, 0, 1, 0],
-            [0, 1j, 0, e1],
-            [-1j, 0, 1j, 0],
-            [0, -1j / e1, 0, 1],
-        ],
-        dtype=np.complex128,
-    ) / _SQ2
-    b = np.array(
-        [
-            [1j, 0, e1, 0],
-            [0, 1, 0, -e2],
-            [-1j / e1, 0, 1, 0],
-            [0, 1j / e2, 0, 1j],
-        ],
-        dtype=np.complex128,
-    ) / _SQ2
-    return _finish("type1", t, GybType(2, 3, 1), _two_blocks(a, b))
+    return _family("type1", theta, lambda e1, e2: (
+        [[1, 0, 1, 0],
+         [0, 1j, 0, e1],
+         [-1j, 0, 1j, 0],
+         [0, -1j / e1, 0, 1]],
+        [[1j, 0, e1, 0],
+         [0, 1, 0, -e2],
+         [-1j / e1, 0, 1, 0],
+         [0, 1j / e2, 0, 1j]],
+    ))
 
 
 def build_type2(theta: float = 0.0) -> GybOperator:
     """Second (2, 3, 1) family."""
-    t = _checked_theta(theta)
-    e1, e2 = np.exp(1j * t), np.exp(2j * t)
-    a = np.array(
-        [
-            [1, 0, 1, 0],
-            [0, 1j, 0, e1],
-            [-1, 0, 1, 0],
-            [0, 1 / e1, 0, 1j],
-        ],
-        dtype=np.complex128,
-    ) / _SQ2
-    b = np.array(
-        [
-            [1j, 0, e1, 0],
-            [0, 1, 0, -e2],
-            [1 / e1, 0, 1j, 0],
-            [0, 1 / e2, 0, 1],
-        ],
-        dtype=np.complex128,
-    ) / _SQ2
-    return _finish("type2", t, GybType(2, 3, 1), _two_blocks(a, b))
+    return _family("type2", theta, lambda e1, e2: (
+        [[1, 0, 1, 0],
+         [0, 1j, 0, e1],
+         [-1, 0, 1, 0],
+         [0, 1 / e1, 0, 1j]],
+        [[1j, 0, e1, 0],
+         [0, 1, 0, -e2],
+         [1 / e1, 0, 1j, 0],
+         [0, 1 / e2, 0, 1]],
+    ))
 
 
 def build_type3(theta: float = 0.0) -> GybOperator:
     """Third (2, 3, 1) family; satisfies r + r^-1 = sqrt(2) id."""
-    t = _checked_theta(theta)
-    e1, e2 = np.exp(1j * t), np.exp(2j * t)
-    a = np.array(
-        [
-            [1, 0, 1, 0],
-            [0, 1, 0, e1],
-            [-1, 0, 1, 0],
-            [0, -1 / e1, 0, 1],
-        ],
-        dtype=np.complex128,
-    ) / _SQ2
-    b = np.array(
-        [
-            [1, 0, -e1, 0],
-            [0, 1, 0, -e2],
-            [1 / e1, 0, 1, 0],
-            [0, 1 / e2, 0, 1],
-        ],
-        dtype=np.complex128,
-    ) / _SQ2
-    return _finish("type3", t, GybType(2, 3, 1), _two_blocks(a, b))
+    return _family("type3", theta, lambda e1, e2: (
+        [[1, 0, 1, 0],
+         [0, 1, 0, e1],
+         [-1, 0, 1, 0],
+         [0, -1 / e1, 0, 1]],
+        [[1, 0, -e1, 0],
+         [0, 1, 0, -e2],
+         [1 / e1, 0, 1, 0],
+         [0, 1 / e2, 0, 1]],
+    ))
 
 
 def build_r232() -> GybOperator:
@@ -342,15 +312,15 @@ def verify_far_commutativity(op: GybOperator) -> float:
     return worst
 
 
-def check_outer_diagonal(op: GybOperator, tol: float = DEFAULT_TOL) -> bool:
+def check_outer_diagonal(op: GybOperator, tol: float = DEFAULT_TOL) -> bool | None:
     """Whether the operator and its inverse act diagonally on the first and
     last factor, i.e. every entry with mismatched outer indices vanishes.
 
-    Defined for type ``(d, 3, 1)`` operators only.
+    Defined for type ``(d, 3, 1)`` operators only; None for any other type.
     """
     g = op.gtype
     if (g.k, g.m) != (3, 1):
-        raise ShapeError(f"outer-diagonality is defined for (d, 3, 1) operators, got {g}")
+        return None
     d = g.d
     same = np.eye(d, dtype=bool)
     # keep[j1, j2, j3, i1, i2, i3] is True where entries may be nonzero

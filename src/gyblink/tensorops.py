@@ -26,8 +26,8 @@ class TensorShape:
     n: int
 
     def __post_init__(self):
-        if self.d < 1 or self.n < 1:
-            raise ShapeError(f"factor dimension and count must be positive, got {self}")
+        if self.d < 2 or self.n < 1:
+            raise ShapeError(f"factor dimension must be at least 2 and count positive, got {self}")
 
     @property
     def dim(self) -> int:
@@ -70,11 +70,10 @@ def max_abs(a) -> float:
 
 
 def num_factors(dim: int, d: int) -> int:
-    """Exact log base ``d``; ShapeError if ``dim`` is not a power of ``d``."""
-    if d < 2:
-        if dim == 1:
-            return 1
-        raise ShapeError(f"dimension {dim} is not a power of {d}")
+    """Exact log base ``d``; ShapeError if ``dim`` is not a power of ``d``.
+
+    ``d`` is a ``TensorShape`` factor dimension, so at least 2.
+    """
     n, x = 0, 1
     while x < dim:
         x *= d

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import gyblink
 from gyblink.braids import random_braid
 from gyblink.cli import main
-from gyblink.operators import build_type3, write_operator_file
+from gyblink.operators import build_type1, build_type3, write_operator_file
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +224,33 @@ def test_nonfinite_parameters_exit_2(tmp_path, capsys, operator, flag, value):
     code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("weights, braid", [
+    (("--alpha", "1e-300", "--beta", "1"), ("1 1 1 1 1 1 1 1",)),  # Python raises ZeroDivisionError
+    (("--alpha", "1e200", "--beta", "1"), ("1 1 1 1 1 1 1 1",)),  # Python returns NaN
+    (("--alpha", "1", "--beta", "1e-300"), ("", "--strands", "50")),
+    (("--alpha", "1e-100", "--beta", "1e-100"), ("1 1",)),  # each power is finite, their product is not
+])
+def test_weight_powers_past_the_float_range_exit_2(tmp_path, capsys, weights, braid):
+    path = tmp_path / "op.mat"
+    write_operator_file(path, build_type1(0.3))
+    argv = ["compute", "--operator", f"custom:{path}", "--braid", *braid, *weights, "--output", "json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not a finite number" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("verify",),
+    ("compute", "--braid", "", "--strands", "100", "--alpha=1", "--beta=1"),  # past numpy's 64 dimensions
+])
+def test_one_dimensional_operator_file_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "d1.mat"
+    path.write_text("1 2 1\n1\n")
+    code, out, err = run_cli(capsys, command[0], "--operator", f"custom:{path}", *command[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "d >= 2" in err and len(err.splitlines()) == 1
 
 
 def _reject_constant(name):

@@ -124,6 +124,16 @@ def test_traceless_weight_has_no_tilde_normalization():
     assert trace_invariant(s, TREFOIL).value == 0
 
 
+def test_weighted_values_past_the_float_range_are_refused():
+    # tr(mu)^(2m - k) = (2e-160)^-2 and alpha^-2 beta^-2 = 1e400 both overflow
+    s = make_enhancement(load_custom(np.eye(16), GybType(2, 4, 1)), 1e-160 * np.eye(2))
+    with pytest.raises(GybError, match="tr\\(mu\\)\\^-2 is not a finite number"):
+        multiplicative_invariant(s, TREFOIL)
+    s = make_enhancement(load_custom(np.eye(8), GybType(2, 3, 1)), None, 1e-100, 1e-100)
+    with pytest.raises(GybError, match="is not a finite number"):
+        trace_invariant(s, HOPF_P)
+
+
 def test_multiplicativity_check_residuals():
     for name in ("type1", "type2", "type3", "r232"):
         s = catalog_enhancement(name, 0.8)

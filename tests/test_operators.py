@@ -1,4 +1,6 @@
+import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +40,8 @@ def test_gybtype_validation():
         GybType(2, 3, 3)
     with pytest.raises(ShapeError):
         GybType(2, 0, 1)
+    with pytest.raises(ShapeError):
+        GybType(1, 2, 1)
 
 
 def test_type1_entries_at_zero():
@@ -48,6 +52,32 @@ def test_type1_entries_at_zero():
     assert r[1, 1] == pytest.approx(1j / SQ2)
     # direct sum: no coupling between the two 4x4 blocks
     assert max_abs(r[:4, 4:]) == 0 and max_abs(r[4:, :4]) == 0
+
+
+# sha256 of the concatenated r.tobytes() over PIN_THETAS (IEEE doubles,
+# little-endian complex128); any change to a single entry bit shows here
+PIN_THETAS = [*np.linspace(-1.0, 4.0, 21), np.pi, 1e-300, 1e10]
+PINNED = {
+    build_type1: "edbd63aeea669033a2ab94e1a9b484e7bdc9fb3b792ca2aebba1329468769286",
+    build_type2: "432a75b02072026f16b2aa5c2d0e4409f2fb9afbfecfff092a16629db814a866",
+    build_type3: "28e877613fdf0ef5212a5a55161d6451ba17bae93ab4d72faa35dfbfe52a9c59",
+}
+
+
+@pytest.mark.parametrize("build", FAMILIES, ids=lambda build: build.__name__)
+def test_family_entries_are_pinned(build):
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for theta in PIN_THETAS:
+            digest.update(build(theta).r.tobytes())
+    assert digest.hexdigest() == PINNED[build]
+    # the out-of-range warning points at the caller of the builder
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        build(4.0)
+    assert len(record) == 1 and record[0].category is RuntimeWarning
+    assert record[0].filename == __file__
 
 
 def test_r232_entries():
@@ -103,8 +133,7 @@ def test_outer_diagonal_counterexamples():
     assert check_outer_diagonal(load_custom(identity(8), GybType(2, 3, 1)))
     mislabeled = load_custom(build_r232().r, GybType(2, 3, 1), "mislabeled")
     assert not check_outer_diagonal(mislabeled)
-    with pytest.raises(ShapeError):
-        check_outer_diagonal(build_r232())
+    assert check_outer_diagonal(build_r232()) is None
 
 
 def test_outer_diagonal_rejects_nan():

@@ -164,6 +164,13 @@ def test_tensor_embed_positions():
     assert max_abs(tensor_embed(g, 2, shape) - np.kron(identity(2), g)) == 0
 
 
+def test_tensor_shape_needs_two_states_per_factor():
+    with pytest.raises(ShapeError):
+        TensorShape(1, 3)
+    with pytest.raises(ShapeError):
+        TensorShape(2, 0)
+
+
 def test_tensor_embed_errors():
     shape = TensorShape(2, 3)
     with pytest.raises(ShapeError):

@@ -89,25 +89,24 @@ def condition_i_residual(op: GybOperator, mu) -> float:
     return max_abs(mk @ op.r - op.r @ mk)
 
 
-def make_enhancement(op: GybOperator, mu=None, alpha: complex = 1.0, beta: complex = 1.0,
-                     tol: float = DEFAULT_TOL) -> Enhancement:
+def make_enhancement(op: GybOperator, mu=None, alpha: complex = 1.0, beta: complex = 1.0) -> Enhancement:
     """Validate enhancement data and cache the two defects.
 
     ``mu`` defaults to the identity. Raises EnhancementError when ``mu`` is
     not finite or not invertible, a scalar is zero or not finite, or the
-    commutation residual is not within ``tol``.
+    commutation residual is not within ``DEFAULT_TOL`` (``1e-9``).
     """
     g = op.gtype
     mu = identity(g.d) if mu is None else as_matrix(mu, g.d)
     try:
-        mat_inverse(mu, tol)
+        mat_inverse(mu, DEFAULT_TOL)
     except SingularMatrixError as exc:
         raise EnhancementError("the scaling matrix must be finite and invertible") from exc
     alpha, beta = complex(alpha), complex(beta)
     if not (alpha and beta and cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise EnhancementError(f"the scalar weights must be finite and nonzero, got {alpha} and {beta}")
     res = condition_i_residual(op, mu)
-    if not res <= tol:
+    if not res <= DEFAULT_TOL:
         raise EnhancementError(
             f"the scaling matrix does not commute with the operator (residual {res:.3e})"
         )
@@ -128,12 +127,12 @@ def acts_offdiagonally_on_last(g, shape: TensorShape, tol: float = DEFAULT_TOL) 
     return all(max_abs(t[:, l, :, l]) <= tol for l in range(shape.d))
 
 
-def sampled_perpendicularity(s: Enhancement, n: int, samples: int = 100, seed: int = 0) -> float:
+def sampled_perpendicularity(s: Enhancement, n: int, seed: int = 0) -> float:
     """Largest sampled trace against the padded defects on ``n`` strands.
 
     Pads each defect with ``mu`` factors to the full representation space,
-    then measures ``|tr(rho(b) . pad)|`` over seeded random braid words of
-    length 1..12 for both defect signs.
+    then measures ``|tr(rho(b) . pad)|`` over 100 seeded random braid words
+    of length 1..12 for both defect signs.
     """
     if n < 2:
         raise ShapeError(f"sampling needs at least 2 strands, got {n}")
@@ -145,7 +144,7 @@ def sampled_perpendicularity(s: Enhancement, n: int, samples: int = 100, seed: i
     ]
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(100):
         length = int(rng.integers(1, 13))
         b = random_braid(n, length, rng)
         for blocks in pads:

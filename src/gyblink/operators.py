@@ -235,7 +235,10 @@ def read_operator_file(path) -> GybOperator:
         d, k, m = (int(x) for x in head)
     except ValueError:
         raise OperatorFileError(f"{path}:{lineno}: first line must be 'd k m', got {' '.join(head)!r}") from None
-    gtype = GybType(d, k, m)
+    try:
+        gtype = GybType(d, k, m)
+    except ShapeError as exc:
+        raise OperatorFileError(f"{path}:{lineno}: {exc}") from None
     dim = gtype.dim
     if len(lines) - 1 != dim:
         raise OperatorFileError(f"{path}: expected {dim} matrix rows, found {len(lines) - 1}")

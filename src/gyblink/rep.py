@@ -14,19 +14,19 @@ apart. So each letter joins the latest earlier block on its own window
 (``block = r_letter @ block``) when every block after that one lets it
 pass, and starts a new block otherwise (the trace-monoid rearrangement of
 Cartier and Foata). A word with nothing to fuse keeps one block per
-letter. Both evaluators take these blocks, chosen per call from the
-blocks and the context alone:
+letter. Both evaluators take one list, the non-identity weight blocks and
+then these, chosen per call from the list and the context alone:
 
 * the column sweep pushes one column per label of the ``M`` factors the
-  word moves (whose label a letter can change or a non-identity weight
-  block covers) through every block in one pass. Each column carries all
-  labels of the conserved factors at once in its rows; the trace sums the
-  entries whose moved labels are their column's, in row order. It costs
-  ``B d^k dim d^M`` multiply-adds for ``B`` blocks; two ``dim d^M``
-  arrays live at once. Words under ``SWEEP_GATE`` always take it.
-* the network path treats each block and weight block as a tensor,
-  closes each factor's wire onto itself (a block alone on a factor is
-  traced over it) and contracts the network pairwise in a greedy order.
+  blocks move (whose label a letter can change or a weight block covers)
+  through every block in one pass. Each column carries all labels of the
+  conserved factors at once in its rows; the trace sums the entries whose
+  moved labels are their column's, in row order. It costs ``d^s dim d^M``
+  multiply-adds per block of span ``s``; two ``dim d^M`` arrays live at
+  once. Words under ``SWEEP_GATE`` always take it.
+* the network path treats each block as a tensor, closes each factor's
+  wire onto itself (a block alone on a factor is traced over it) and
+  contracts the network pairwise in a greedy order.
   Each pairwise step transposes and reshapes both tensors to matrices for
   one ``np.dot``, as ``np.tensordot`` would, in its floating-point order.
   Its cost follows the plan's largest intermediates, not ``dim^2``, so it
@@ -107,12 +107,11 @@ def make_context(op: GybOperator, n: int) -> RepContext:
     return RepContext(op, n, factors, g.d**factors)
 
 
-def _apply_block(mat: np.ndarray, start: int, span_dim: int, state: np.ndarray, d: int) -> np.ndarray:
+def _apply_block(mat: np.ndarray, start: int, state: np.ndarray, d: int) -> np.ndarray:
     # state holds one column per basis vector of the batch; reshape so the
     # acted-on factors form the middle axis, batch folded into the last.
-    left = d ** (start - 1)
     shape = state.shape
-    state3 = state.reshape(left, span_dim, -1)
+    state3 = state.reshape(d ** (start - 1), len(mat), -1)
     return np.matmul(mat, state3).reshape(shape)
 
 
@@ -124,8 +123,8 @@ def rep_apply(ctx: RepContext, b: BraidWord, v) -> np.ndarray:
     if v.shape != (ctx.dim,):
         raise ShapeError(f"state must have length {ctx.dim}, got shape {v.shape}")
     state, d = v.reshape(ctx.dim, 1), ctx.op.gtype.d
-    for mat, pos, span in _letters(ctx, b):
-        state = _apply_block(mat, pos, d**span, state, d)
+    for mat, pos, _, _ in _letters(ctx, b):
+        state = _apply_block(mat, pos, state, d)
     return state.ravel()
 
 
@@ -145,8 +144,8 @@ def dense_representation(ctx: RepContext, b: BraidWord) -> np.ndarray:
     return out
 
 
-def _place_blocks(ctx: RepContext, blocks) -> list[tuple[np.ndarray, int, int]]:
-    # Validated ``(matrix, first factor, span)`` of every non-identity block.
+def _place_blocks(ctx: RepContext, blocks) -> list[list]:
+    # The validated non-identity weight blocks, which lead a trace's block list and move all they cover.
     d = ctx.op.gtype.d
     placed = []
     if blocks is not None:
@@ -157,7 +156,7 @@ def _place_blocks(ctx: RepContext, blocks) -> list[tuple[np.ndarray, int, int]]:
             if mat.shape != (span_dim, span_dim):
                 raise ShapeError(f"weight block spanning {span} factors must be {span_dim}x{span_dim}")
             if not np.array_equal(mat, identity(span_dim)):
-                placed.append((mat, pos, span))
+                placed.append([mat, pos, span, range(span)])
             pos += span
         if pos - 1 != ctx.factors:
             raise ShapeError(f"weight blocks cover {pos - 1} factors, context has {ctx.factors}")
@@ -165,9 +164,9 @@ def _place_blocks(ctx: RepContext, blocks) -> list[tuple[np.ndarray, int, int]]:
 
 
 def _letters(ctx: RepContext, b: BraidWord) -> list[list]:
-    # One [matrix, first factor, span] block per letter, in the order they act.
+    # One [matrix, first factor, span, moved offsets] block per letter, as they act.
     t, op = ctx.op.gtype, ctx.op
-    return [[op.r if g > 0 else op.r_inv, t.m * (abs(g) - 1) + 1, t.k] for g in b.letters]
+    return [[op.r if g > 0 else op.r_inv, t.m * (abs(g) - 1) + 1, t.k, op.moved] for g in b.letters]
 
 
 def _fuse(ctx: RepContext, b: BraidWord) -> list[list]:
@@ -191,14 +190,11 @@ def _fuse(ctx: RepContext, b: BraidWord) -> list[list]:
     return blocks
 
 
-def _moved_factors(ctx: RepContext, word, placed) -> set[int]:
-    moved = {first - 1 + j for _, first, _ in word for j in ctx.op.moved}
-    for _, pos, span in placed:
-        moved.update(range(pos - 1, pos - 1 + span))
-    return moved
+def _moved_factors(blocks) -> set[int]:
+    return {first - 1 + j for _, first, _, offsets in blocks for j in offsets}
 
 
-def _sweep(ctx: RepContext, word, placed, moved) -> complex:
+def _sweep(ctx: RepContext, blocks, moved) -> complex:
     # One column per label of the moved factors, summing the basis vectors with
     # those labels; diag: each row's flat position in its moved labels' column.
     d = ctx.op.gtype.d
@@ -210,30 +206,30 @@ def _sweep(ctx: RepContext, word, placed, moved) -> complex:
         diag = (np.arange(0, ctx.dim * cols, cols).reshape((d,) * ctx.factors) + label).reshape(-1)
     state = np.zeros((ctx.dim, cols), dtype=np.complex128)
     state.put(diag, 1)
-    for mat, pos, span in placed + word:
-        state = _apply_block(mat, pos, d**span, state, d)
+    for mat, pos, _, _ in blocks:
+        state = _apply_block(mat, pos, state, d)
     # adding to +0 turns a -0.0 trace into 0.0, as values have always read
     return complex(0.0 + 0.0j + state.take(diag).sum())
 
 
-def _network(ctx: RepContext, word, placed):
-    """The closed network of ``tr(rho(b) . W)`` for the blocks ``word`` of
-    ``_fuse`` and the weight blocks ``placed``.
+def _network(ctx: RepContext, blocks):
+    """The closed network of ``tr(rho(b) . W)`` for one block list, the
+    weight blocks of ``W`` first and then those of the word.
 
-    Returns ``(tensors, legs, loop_factor)``: one tensor per weight block
-    and per block of the word in the order they act, output legs first; the
-    integer label of each tensor axis; and ``d`` to the number of factors
-    nothing acts on, each of which closes into a loop. Factor ``j`` enters
-    with label ``j`` and its last output label is renamed to ``j``, which
-    closes the wire without an identity tensor. A block alone on a factor
-    would carry that label twice, so it is traced over those factors here:
-    every returned label sits on exactly two tensors.
+    Returns ``(tensors, legs, loop_factor)``: one tensor per block in the
+    order they act, output legs first; the integer label of each tensor
+    axis; and ``d`` to the number of factors nothing acts on, each of which
+    closes into a loop. Factor ``j`` enters with label ``j`` and its last
+    output label is renamed to ``j``, which closes the wire without an
+    identity tensor. A block alone on a factor would carry that label
+    twice, so it is traced over those factors here: every returned label
+    sits on exactly two tensors.
     """
     t = ctx.op.gtype
     fresh = itertools.count(ctx.factors)
     wires = list(range(ctx.factors))
     tensors, legs = [], []
-    for mat, pos, span in placed + word:
+    for mat, pos, span, _ in blocks:
         out = [next(fresh) for _ in range(span)]
         tensors.append(mat.reshape((t.d,) * 2 * span))
         legs.append(out + wires[pos - 1:pos - 1 + span])
@@ -331,8 +327,8 @@ def _contract(network, steps) -> complex:
     return value
 
 
-def _planned(ctx: RepContext, word, placed):
-    network = _network(ctx, word, placed)
+def _planned(ctx: RepContext, blocks):
+    network = _network(ctx, blocks)
     steps, flops, peak = _greedy_plan(network[1], ctx.op.gtype.d)
     return flops, peak, partial(_contract, network, steps)
 
@@ -358,19 +354,19 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
     """
     if b.strands != ctx.n:
         raise ShapeError(f"braid has {b.strands} strands, context expects {ctx.n}")
-    placed, word = _place_blocks(ctx, blocks), _fuse(ctx, b)
-    t = ctx.op.gtype
-    size = 1 + len(word) * t.dim + sum(t.d**span for _, _, span in placed)
-    moved = _moved_factors(ctx, word, placed)
-    sweep_peak = ctx.dim * t.d ** len(moved)
-    sweep_cost = sweep_peak * size
+    placed = _place_blocks(ctx, blocks)
+    fused = placed + _fuse(ctx, b)
+    d = ctx.op.gtype.d
+    moved = _moved_factors(fused)
+    sweep_peak = ctx.dim * d ** len(moved)
+    sweep_cost = sweep_peak * (1 + sum(d**span for _, _, span, _ in fused))
     if sweep_cost < SWEEP_GATE and sweep_peak <= PEAK_CAP:
-        return _sweep(ctx, word, placed, moved)
+        return _sweep(ctx, fused, moved)
     # (multiply-adds, largest array, evaluation), ties to the first. The letter network
     # can plan a lower peak than the fused one; planning it for every word costs too much
-    candidates = [(sweep_cost, sweep_peak, partial(_sweep, ctx, word, placed, moved)), _planned(ctx, word, placed)]
+    candidates = [(sweep_cost, sweep_peak, partial(_sweep, ctx, fused, moved)), _planned(ctx, fused)]
     if all(peak > PEAK_CAP for _, peak, _ in candidates):
-        candidates.append(_planned(ctx, _letters(ctx, b), placed))
+        candidates.append(_planned(ctx, placed + _letters(ctx, b)))
     # under the cap the fewest multiply-adds; over it the smallest largest array
     _, peak, evaluate = min(candidates, key=lambda c: (max(c[1], PEAK_CAP), c[0]))
     if peak > PEAK_CAP and not allow_large:

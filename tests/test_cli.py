@@ -253,6 +253,17 @@ def test_one_dimensional_operator_file_exits_2(tmp_path, capsys, command):
     assert err.startswith("error:") and "d >= 2" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("header", ["1 2 1", "2 3 3"])
+def test_operator_file_header_error_names_the_file(tmp_path, capsys, header):
+    # a header GybType rejects (d < 2, stride not below span) names the file
+    # and line, as every other operator-file error does
+    path = tmp_path / "bad.mat"
+    path.write_text(f"{header}\n1\n")
+    code, out, err = run_cli(capsys, "verify", "--operator", f"custom:{path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{path}:1:" in err and len(err.splitlines()) == 1
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 

@@ -211,13 +211,13 @@ def test_report_flags_wrong_weights():
 def test_sampled_perpendicularity_catalog_small():
     for name in sorted(CATALOG):
         s = catalog_enhancement(name, theta=0.8)
-        assert sampled_perpendicularity(s, 3, samples=10, seed=3) < 1e-9
+        assert sampled_perpendicularity(s, 3, seed=3) < 1e-9
 
 
 def test_sampled_perpendicularity_detects_corruption():
     s = catalog_enhancement("type1", 0.8)
     bad = make_enhancement(s.op, None, s.alpha * 1j, s.beta)
-    assert sampled_perpendicularity(bad, 3, samples=20, seed=3) > 0.5
+    assert sampled_perpendicularity(bad, 3, seed=3) > 0.5
 
 
 def test_sampled_perpendicularity_needs_two_strands():

@@ -81,7 +81,31 @@ def test_plan_over_the_cap_takes_the_sweep(monkeypatch):
     monkeypatch.setattr("gyblink.rep._greedy_plan", wide_plan)
     monkeypatch.setattr("gyblink.rep._contract", refuse)
     word = _fuse(ctx, b)
-    assert trace_with_weight(ctx, b) == _sweep(ctx, word, [], _moved_factors(ctx, word, []))
+    assert trace_with_weight(ctx, b) == _sweep(ctx, word, _moved_factors(word))
+
+
+def test_words_under_the_gate_plan_no_network(monkeypatch):
+    # small words, a third with a non-identity weight on every factor, return
+    # from the sweep before any network is built; r232 stays on 3 strands,
+    # where no word of up to 12 letters reaches SWEEP_GATE. A long word on 9
+    # strands builds exactly one network, the fused one
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return _network(*args)
+
+    monkeypatch.setattr("gyblink.rep._network", counting)
+    rng = np.random.default_rng(67)
+    for case in range(120):
+        op = OPS[case % 4]
+        n = int(rng.integers(2, 4 if op.op_id == "r232" else 5))
+        ctx = make_context(op, n)
+        b = random_braid(n, int(rng.integers(0, 13)), rng)
+        trace_with_weight(ctx, b, [(np.diag([1.0, 2.0]), 1)] * ctx.factors if case % 3 == 2 else None)
+    assert built == []
+    trace_with_weight(make_context(build_type1(0.3), 9), random_braid(9, 40, seed=5))
+    assert len(built) == 1
 
 
 def _sweep_words(n, rng):
@@ -187,7 +211,7 @@ def test_moved_offsets_count_exact_zeros():
 def test_fused_block_counts(op, n, word, count):
     blocks = _fuse(make_context(op, n), parse_braid(word, n))
     assert len(blocks) == count
-    assert all(span == op.gtype.k for _, _, span in blocks)
+    assert all(span == op.gtype.k for _, _, span, _ in blocks)
 
 
 def test_sweep_arrays_hold_dim_times_moved_labels(monkeypatch):
@@ -202,9 +226,9 @@ def test_sweep_arrays_hold_dim_times_moved_labels(monkeypatch):
     want = _dense_trace(ctx, b, None)
     shapes = []
 
-    def record(mat, start, span_dim, state, d):
+    def record(mat, start, state, d):
         shapes.append(state.shape)
-        return _apply_block(mat, start, span_dim, state, d)
+        return _apply_block(mat, start, state, d)
 
     def wide_plan(legs, d):
         steps, flops, _ = _greedy_plan(legs, d)
@@ -234,9 +258,9 @@ def test_sweep_that_moves_every_factor_keeps_the_trace_order():
         b = random_braid(n, length, rng)
         word = _fuse(ctx, b)
         state = np.eye(ctx.dim, dtype=np.complex128)
-        for mat, first, span in word:
-            state = _apply_block(mat, first, 2**span, state, 2)
-        assert _sweep(ctx, word, [], _moved_factors(ctx, word, [])) == complex(0.0 + 0.0j + np.trace(state))
+        for mat, first, _, _ in word:
+            state = _apply_block(mat, first, state, 2)
+        assert _sweep(ctx, word, _moved_factors(word)) == complex(0.0 + 0.0j + np.trace(state))
 
 
 def test_rep_apply_identity_and_cancellation():
@@ -349,10 +373,10 @@ def test_trace_block_validation():
 
 def _forced_traces(ctx, b, blocks):
     # Both evaluators on the same word, bypassing the cost-based choice.
-    placed, word = _place_blocks(ctx, blocks), _fuse(ctx, b)
-    network = _network(ctx, word, placed)
+    fused = _place_blocks(ctx, blocks) + _fuse(ctx, b)
+    network = _network(ctx, fused)
     steps, _, _ = _greedy_plan(network[1], ctx.op.gtype.d)
-    return _sweep(ctx, word, placed, _moved_factors(ctx, word, placed)), _contract(network, steps)
+    return _sweep(ctx, fused, _moved_factors(fused)), _contract(network, steps)
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.op_id)
@@ -376,7 +400,7 @@ def test_network_path_is_deterministic(monkeypatch):
     ctx = make_context(build_type1(0.6), 9)
     b = random_braid(9, 30, seed=23)
     word = _fuse(ctx, b)
-    swept = _sweep(ctx, word, [], _moved_factors(ctx, word, []))
+    swept = _sweep(ctx, word, _moved_factors(word))
 
     def refuse(*args):
         raise AssertionError("the column sweep ran")
@@ -392,7 +416,7 @@ def test_plan_at_the_cap_stays_on_the_network(monkeypatch):
     # exactly PEAK_CAP: the plan runs, not the ten times slower sweep
     ctx = make_context(build_r232(), 6)
     b = random_braid(6, 69, seed=1)
-    assert _greedy_plan(_network(ctx, _fuse(ctx, b), [])[1], 2)[2] == PEAK_CAP
+    assert _greedy_plan(_network(ctx, _fuse(ctx, b))[1], 2)[2] == PEAK_CAP
 
     def refuse(*args):
         raise AssertionError("the column sweep ran")
@@ -409,14 +433,14 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
     b = random_braid(4, 60, seed=1)
     word = _fuse(ctx, b)
     sweep_cost = ctx.dim**2 * (1 + len(word) * ctx.op.gtype.dim)
-    _, flops, _ = _greedy_plan(_network(ctx, word, [])[1], 2)
+    _, flops, _ = _greedy_plan(_network(ctx, word)[1], 2)
     assert len(word) < len(b) and sweep_cost >= SWEEP_GATE and flops >= sweep_cost
 
     def refuse(*args):
         raise AssertionError("the network path ran")
 
     monkeypatch.setattr("gyblink.rep._contract", refuse)
-    want = _sweep(ctx, word, [], _moved_factors(ctx, word, []))
+    want = _sweep(ctx, word, _moved_factors(word))
     assert trace_with_weight(ctx, b) == want
     # with nothing under the cap, allow_large runs the smallest largest array:
     # the letter network ties the sweep at 16,384 elements and needs fewer
@@ -424,7 +448,7 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", 64)
     with pytest.raises(ResourceCapError):
         trace_with_weight(ctx, b)
-    letters = _network(ctx, _letters(ctx, b), [])
+    letters = _network(ctx, _letters(ctx, b))
     steps, letter_flops, letter_peak = _greedy_plan(letters[1], 2)
     assert letter_peak == ctx.dim**2 and letter_flops < sweep_cost
     seen = _recording_contract(monkeypatch)
@@ -453,8 +477,8 @@ def test_allow_large_runs_the_array_the_refusal_names(monkeypatch):
     ctx = make_context(build_type1(0.4), 16)
     b = random_braid(16, 320, seed=2)
     word = _fuse(ctx, b)
-    assert ctx.dim * 2 ** len(_moved_factors(ctx, word, [])) == 2**32
-    assert _greedy_plan(_network(ctx, word, [])[1], 2)[2] == 2**30
+    assert ctx.dim * 2 ** len(_moved_factors(word)) == 2**32
+    assert _greedy_plan(_network(ctx, word)[1], 2)[2] == 2**30
     seen = []
     monkeypatch.setattr("gyblink.rep._sweep", lambda *args: seen.append("sweep"))
     monkeypatch.setattr("gyblink.rep._contract", lambda network, steps: seen.append(len(network[0])))
@@ -511,9 +535,9 @@ def test_fused_plan_over_the_cap_falls_back_to_the_letter_network(monkeypatch):
     ctx = make_context(build_r232(), 8)
     b = random_braid(8, 138, seed=21)
     word = _fuse(ctx, b)
-    assert ctx.dim * 2 ** len(_moved_factors(ctx, word, [])) > PEAK_CAP
-    assert _greedy_plan(_network(ctx, word, [])[1], 2)[2] == 2**26
-    network = _network(ctx, _letters(ctx, b), [])
+    assert ctx.dim * 2 ** len(_moved_factors(word)) > PEAK_CAP
+    assert _greedy_plan(_network(ctx, word)[1], 2)[2] == 2**26
+    network = _network(ctx, _letters(ctx, b))
     steps, _, peak = _greedy_plan(network[1], 2)
     assert peak == 2**20
     assert trace_with_weight(ctx, b) == _contract(network, steps)
@@ -550,7 +574,7 @@ def _seeded_networks(count, seed, blocks_of=_fuse):
             blocks = [(mu, 1)] * (ctx.factors - 2) + [(np.kron(mu, mu), 2)]
         elif case % 8 >= 4:
             blocks = [(mu, 1)] * ctx.factors
-        yield ctx, _network(ctx, blocks_of(ctx, b), _place_blocks(ctx, blocks))
+        yield ctx, _network(ctx, _place_blocks(ctx, blocks) + blocks_of(ctx, b))
 
 
 def test_greedy_plans_are_pinned():
@@ -604,7 +628,7 @@ def test_lone_blocks_match_dense(monkeypatch):
             half = random_braid(n // 2, 3, rng), random_braid(n - n // 2, 3, rng)
             for b in (BraidWord(n, (int(rng.integers(1, n)),)), BraidWord(n, (-1,)), juxtapose(*half)):
                 for blocks in (None, [(mu, 1)] * ctx.factors):
-                    network = _network(ctx, _fuse(ctx, b), _place_blocks(ctx, blocks))
+                    network = _network(ctx, _place_blocks(ctx, blocks) + _fuse(ctx, b))
                     traced += _traced_wires(ctx, network) > 0
                     want = _dense_trace(ctx, b, blocks)
                     assert abs(trace_with_weight(ctx, b, blocks) - want) <= 1e-12 * max(1.0, abs(want)), (op, b)
@@ -618,9 +642,9 @@ def test_contract_matches_tensordot_exactly():
     mu = np.array([[0.3, 1.1j], [-0.7, 2.0]])
     two = make_context(op, 2)
     cases = [(ctx, network) for ctx, network in _seeded_networks(60, 43)] + [
-        (two, _network(two, [], [])),  # no tensor at all
-        (two, _network(two, [], _place_blocks(two, [(mu, 1)] * 3))),
-        (two, _network(two, _fuse(two, parse_braid("1", 2)), [])),  # one letter, closed onto itself
+        (two, _network(two, [])),  # no tensor at all
+        (two, _network(two, _place_blocks(two, [(mu, 1)] * 3))),
+        (two, _network(two, _fuse(two, parse_braid("1", 2)))),  # one letter, closed onto itself
     ]
     traced = 0
     for ctx, network in cases:

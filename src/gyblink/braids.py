@@ -1,18 +1,27 @@
 """Braid words, Markov moves, and a small catalog of links given as closures.
 
 The text form of a braid word is whitespace-separated signed decimal
-integers, e.g. ``"1 -2 1"``; a missing sign means positive. Letter ``g``
-is the generator at position ``abs(g)``, inverted when ``g < 0``.
+integers in ASCII digits, e.g. ``"1 -2 1"``; a missing sign means
+positive. Letter ``g`` is the generator at position ``abs(g)``, inverted
+when ``g < 0``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BraidParseError, ShapeError
+
+
+def _decimal(text: str) -> int:
+    # int() alone also reads "1_0" and non-ASCII digits
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(text)
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -44,7 +53,7 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     letters = []
     for tok in text.split():
         try:
-            g = int(tok)
+            g = _decimal(tok)
         except ValueError:
             raise BraidParseError(f"bad braid token {tok!r}, expected a signed integer") from None
         if g == 0:
@@ -201,7 +210,7 @@ def load_catalog_file(path) -> dict[str, NamedLink]:
         name, strands_text, word = parts
         name = name.strip()
         try:
-            strands = int(strands_text)
+            strands = _decimal(strands_text.strip())
         except ValueError:
             raise BraidParseError(f"{path}:{lineno}: bad strand count {strands_text!r}") from None
         links[name] = NamedLink(name, parse_braid(word, strands))

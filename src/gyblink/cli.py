@@ -163,6 +163,9 @@ def cmd_verify(args):
         "braid_relation": verify_gybe(op),
         "far_commutation": verify_far_commutativity(op),
     }
+    for key, value in checks.items():
+        if not math.isfinite(value):
+            raise GybError(f"the {key} residual is {value}: the operator's entries overflow a float")
     outer = check_outer_diagonal(op, tol)
     report = None if s is None else enhancement_report(s, tol, seed=args.seed)
     ok = checks["braid_relation"] <= tol and checks["far_commutation"] <= tol
@@ -306,8 +309,9 @@ def _join_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else list(argv)))
-    with warnings.catch_warnings():
-        # one line per warning, without the library's file and source line
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        # one line per warning, without the library's file and source line;
+        # numpy's floating-point warnings stay off: a non-finite result is an error
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             code, payload, lines = args.func(args)

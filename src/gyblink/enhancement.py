@@ -41,6 +41,7 @@ from .tensorops import (
     as_matrix,
     identity,
     kron_power,
+    label_changes,
     mat_inverse,
     max_abs,
     partial_trace_last,
@@ -122,9 +123,8 @@ def acts_offdiagonally_on_last(g, shape: TensorShape, tol: float = DEFAULT_TOL) 
     """Whether every entry of ``g`` with equal last-factor indices vanishes."""
     g = as_matrix(g)
     shape.check(g)
-    rest = shape.d ** (shape.n - 1)
-    t = g.reshape(rest, shape.d, rest, shape.d)
-    return all(max_abs(t[:, l, :, l]) <= tol for l in range(shape.d))
+    _, keeps = label_changes(shape.d, tol, g)
+    return not keeps[-1]
 
 
 def sampled_perpendicularity(s: Enhancement, n: int, seed: int = 0) -> float:

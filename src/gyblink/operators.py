@@ -30,6 +30,7 @@ from .tensorops import (
     as_matrix,
     dagger,
     identity,
+    label_changes,
     mat_inverse,
     max_abs,
     tensor_embed,
@@ -61,9 +62,9 @@ class GybType:
 class GybOperator:
     """An invertible operator together with its cached inverse.
 
-    ``theta`` is the family parameter for the one-parameter catalog
-    entries and None otherwise. ``moved``: the offsets among the ``k`` factors
-    whose label a nonzero entry of ``r`` or ``r_inv`` changes.
+    ``theta``: the catalog families' parameter, else None. ``moved``: the offsets
+    among the ``k`` factors whose label a nonzero entry of ``r`` or ``r_inv``
+    changes (``label_changes`` at tolerance 0).
     """
 
     gtype: GybType
@@ -74,11 +75,8 @@ class GybOperator:
     moved: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        g = self.gtype
-        rows, cols = np.nonzero((self.r != 0) | (self.r_inv != 0))
-        place = g.d ** np.arange(g.k - 1, -1, -1)  # of each offset's label in an index
-        changed = (rows[:, None] // place % g.d != cols[:, None] // place % g.d).any(axis=0)
-        object.__setattr__(self, "moved", tuple(int(j) for j in np.flatnonzero(changed)))
+        changes, _ = label_changes(self.gtype.d, 0.0, self.r, self.r_inv)
+        object.__setattr__(self, "moved", tuple(int(j) for j in np.flatnonzero(changes)))
 
 
 def _checked_theta(theta: float) -> float:
@@ -239,6 +237,10 @@ def read_operator_file(path) -> GybOperator:
         gtype = GybType(d, k, m)
     except ShapeError as exc:
         raise OperatorFileError(f"{path}:{lineno}: {exc}") from None
+    # d^k >= 2^((bits of d - 1) k): past 2^64 no file holds that many rows,
+    # and d^k may take long to build and be too long to print
+    if (d.bit_length() - 1) * k >= 64:
+        raise OperatorFileError(f"{path}: expected {d}^{k} matrix rows, found {len(lines) - 1}")
     dim = gtype.dim
     if len(lines) - 1 != dim:
         raise OperatorFileError(f"{path}: expected {dim} matrix rows, found {len(lines) - 1}")
@@ -321,15 +323,7 @@ def check_outer_diagonal(op: GybOperator, tol: float = DEFAULT_TOL) -> bool | No
 
     Defined for type ``(d, 3, 1)`` operators only; None for any other type.
     """
-    g = op.gtype
-    if (g.k, g.m) != (3, 1):
+    if (op.gtype.k, op.gtype.m) != (3, 1):
         return None
-    d = g.d
-    same = np.eye(d, dtype=bool)
-    # keep[j1, j2, j3, i1, i2, i3] is True where entries may be nonzero
-    keep = same[:, None, None, :, None, None] & same[None, None, :, None, None, :]
-    for mat in (op.r, op.r_inv):
-        t = mat.reshape(d, d, d, d, d, d)
-        if not max_abs(np.where(keep, 0.0, t)) <= tol:
-            return False
-    return True
+    changes, _ = label_changes(op.gtype.d, tol, op.r, op.r_inv)
+    return not (changes[0] or changes[-1])

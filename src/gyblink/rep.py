@@ -1,10 +1,10 @@
 """Matrix-free evaluation of the braid representations an operator induces.
 
-A braid on ``n`` strands acts on ``N`` factors of dimension ``d``, where
-``N = k + m (n - 2)`` for ``n >= 2`` and ``N = k - m`` for the one-strand
-identity braid. Generator ``i`` applies the operator to the ``k``
-contiguous factors starting at ``m (i - 1) + 1``; inverse letters apply
-the cached inverse. The full representation matrix is never materialized.
+A braid on ``n`` strands acts on ``N = k + m (n - 2)`` factors of
+dimension ``d``, ``k - m`` for the one-strand identity braid. Generator
+``i`` applies the operator to the ``k`` contiguous factors starting at
+``m (i - 1) + 1``; inverse letters apply the cached inverse. The full
+representation matrix is never materialized.
 
 The weighted trace of a closed braid first compresses the word. Two
 letters commute exactly when their windows share only factors both
@@ -99,7 +99,7 @@ def make_context(op: GybOperator, n: int) -> RepContext:
     if n < 1:
         raise ShapeError(f"strand count must be positive, got {n}")
     g = op.gtype
-    factors = g.k + g.m * (n - 2) if n >= 2 else g.k - g.m
+    factors = g.k + g.m * (n - 2)
     try:
         float(g.d) ** factors
     except OverflowError:

@@ -2,8 +2,8 @@
 
 Matrices are numpy ``complex128`` arrays of shape ``(dim, dim)`` acting on
 a space of ``n`` factors, each of dimension ``d`` (so ``dim == d**n``).
-Basis ordering is lexicographic with the first factor most significant,
-which is exactly the ordering ``numpy.kron`` produces.
+Basis ordering is lexicographic, first factor most significant, as from
+``numpy.kron``; ``label_changes`` reads which factor labels entries change.
 """
 
 from __future__ import annotations
@@ -81,6 +81,16 @@ def num_factors(dim: int, d: int) -> int:
     if x != dim:
         raise ShapeError(f"dimension {dim} is not a power of {d}")
     return n
+
+
+def label_changes(d: int, tol: float, *mats) -> tuple[np.ndarray, np.ndarray]:
+    """Per factor of the ``d**k``-dimensional ``mats``: does an entry above ``tol``
+    in magnitude (NaN counts) change its label, and does one keep it? Returns
+    ``changes`` and ``keeps``, two boolean arrays of length ``k``."""
+    labels = (d,) * num_factors(len(mats[0]), d)
+    rows, cols = np.nonzero(~(np.abs(mats) <= tol).all(axis=0))
+    same = np.array(np.unravel_index(rows, labels)) == np.array(np.unravel_index(cols, labels))
+    return ~same.all(axis=1), same.any(axis=1)
 
 
 def kron_power(a, p: int) -> np.ndarray:

@@ -7,6 +7,9 @@ word. It reads nothing from the package but the braid word itself.
 ``type2_closed_form`` gives the raw ``type2`` value of a closure from its
 components and linking numbers alone.
 
+``homfly`` evaluates the HOMFLY-PT polynomial of a closed braid at one
+point through the Hecke algebra and Ocneanu's trace.
+
 ``tensordot_contract`` is the reference for ``rep._contract``: it runs the
 same network and plan, but each pairwise step through ``np.tensordot``. It
 takes the network as ``rep._network`` leaves it, every label on two tensors.
@@ -102,6 +105,57 @@ def type2_closed_form(b: BraidWord) -> int:
     if any(total % 4 for total in twice_linking.values()):
         return 0
     return 2 ** (len(twice_linking) + 1)
+
+
+def _times_t(element: dict, i: int, z: complex) -> dict:
+    # right multiplication by T_i. A permutation w is its one-line tuple, so
+    # w s_i swaps the entries at positions i - 1 and i; T_w T_i is T_{w s_i}
+    # when that adds an inversion and z T_w + T_{w s_i} when it removes one
+    out: dict = {}
+    for w, c in element.items():
+        ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+        out[ws] = out.get(ws, 0) + c
+        if w[i - 1] > w[i]:
+            out[w] = out.get(w, 0) + z * c
+    return out
+
+
+def _ocneanu(w: tuple, z: complex, tau: complex) -> complex:
+    # tr(T_w). A fixed last strand drops out (the trace on H_n restricts to
+    # the one on H_{n-1}); otherwise moving the largest entry, at position p,
+    # to the end is a reduced word, T_w = T_u T_{n-1} T_{n-2} ... T_{p+1}
+    # with u fixing the last strand, and tr(x T_{n-1} y) = tau tr(x y)
+    while w and w[-1] == len(w) - 1:
+        w = w[:-1]
+    if not w:
+        return 1
+    n, p = len(w), w.index(len(w) - 1)
+    element = {w[:p] + w[p + 1 :]: 1}
+    for i in range(n - 2, p, -1):
+        element = _times_t(element, i, z)
+    return tau * sum(c * _ocneanu(u, z, tau) for u, c in element.items())
+
+
+def homfly(b: BraidWord, a: complex, z: complex) -> complex:
+    """HOMFLY-PT polynomial of the closure of ``b`` at ``(a, z)``, normalized
+    by ``a P(L+) - a^-1 P(L-) = z P(L0)`` and ``P(unknot) = 1``.
+
+    The word maps to the Hecke algebra ``H_n`` in the ``T_w`` basis, where
+    ``T_i^2 = z T_i + 1`` and so ``T_i^-1 = T_i - z``. Ocneanu's trace has
+    ``tr(1) = 1`` and ``tr(x T_{n-1} y) = tau tr(x y)`` for ``x, y`` in
+    ``H_{n-1}``, with ``tau = z a^2 / (a^2 - 1)``; then
+    ``P = ((a - 1/a) / z)^(n-1) a^(-writhe) tr``.
+    """
+    element = {tuple(range(b.strands)): 1}
+    for g in b.letters:
+        product = _times_t(element, abs(g), z)
+        if g < 0:
+            for w, c in element.items():
+                product[w] = product.get(w, 0) - z * c
+        element = product
+    tau = z * a * a / (a * a - 1)
+    trace = sum(c * _ocneanu(w, z, tau) for w, c in element.items())
+    return ((a - 1 / a) / z) ** (b.strands - 1) * a ** -writhe(b) * trace
 
 
 def tensordot_contract(network, steps) -> complex:

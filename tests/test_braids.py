@@ -55,6 +55,10 @@ def test_parse_errors():
         parse_braid("1 0 2")
     with pytest.raises(BraidParseError):
         parse_braid("1 x")
+    # int() reads these; a braid letter is ASCII digits with an optional sign
+    for text in ("1_0", "\u0661", "1 \uff12"):
+        with pytest.raises(BraidParseError, match="bad braid token"):
+            parse_braid(text)
     with pytest.raises(BraidParseError):
         parse_braid("3", strands=2)
     with pytest.raises(BraidParseError):
@@ -198,4 +202,11 @@ def test_catalog_file_errors(tmp_path):
         load_catalog_file(bad)
     bad.write_text("name\ttwo\t1 1\n")
     with pytest.raises(BraidParseError):
+        load_catalog_file(bad)
+    for strands in ("2_0", "\u0662", "\uff13"):
+        bad.write_text(f"x\t{strands}\t1\n", encoding="utf-8")
+        with pytest.raises(BraidParseError, match="bad strand count"):
+            load_catalog_file(bad)
+    bad.write_text("x\t2\t1_0\n")
+    with pytest.raises(BraidParseError, match="bad braid token"):
         load_catalog_file(bad)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import gyblink
 from gyblink.braids import random_braid
 from gyblink.cli import main
-from gyblink.operators import build_type1, build_type3, write_operator_file
+from gyblink.operators import GybType, build_type1, build_type3, load_custom, write_operator_file
 
 
 def run_cli(capsys, *argv):
@@ -239,6 +239,28 @@ def test_weight_powers_past_the_float_range_exit_2(tmp_path, capsys, weights, br
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "not a finite number" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("scale", [1e120, 1e200])
+def test_verify_of_overflowing_entries_exits_2(tmp_path, capsys, scale, output):
+    # the residual products overflow a float: a NaN braid-relation residual
+    # at 1e120, an infinite unitarity residual too at 1e200; neither reaches
+    # the output, and numpy's overflow warnings stay off stderr
+    path = tmp_path / "big.mat"
+    write_operator_file(path, load_custom(scale * np.eye(8), GybType(2, 3, 1)))
+    code, out, err = run_cli(capsys, "verify", "--operator", f"custom:{path}", "--output", output)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "residual" in err and len(err.splitlines()) == 1
+
+
+def test_compute_with_overflowing_entries_prints_one_line(tmp_path, capsys):
+    path = tmp_path / "big.mat"
+    write_operator_file(path, load_custom(1e200 * np.eye(8), GybType(2, 3, 1)))
+    argv = ["compute", "--operator", f"custom:{path}", "--braid", "1 1", "--alpha", "1", "--beta", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", [

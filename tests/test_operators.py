@@ -253,6 +253,11 @@ def test_operator_file_errors(tmp_path):
     path.write_text("2 2 1\n" + rows + "\n")
     with pytest.raises(OperatorFileError):
         read_operator_file(path)  # short rows
+    # d^k past what any file holds is refused without building it
+    for header, count in [("10 5000 1", "10^5000"), ("2 100000 1", "2^100000")]:
+        path.write_text(header + "\n1\n")
+        with pytest.raises(OperatorFileError, match=re.escape(f"{path}: expected {count} matrix rows, found 1")):
+            read_operator_file(path)
 
 
 def test_operator_file_comments(tmp_path):

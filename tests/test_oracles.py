@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import bracket, jones, type2_closed_form
+from oracles import bracket, homfly, jones, type2_closed_form
 
 from gyblink.braids import LINKS, BraidWord, closure_components, random_braid, stabilize
 from gyblink.enhancement import catalog_enhancement
@@ -54,6 +54,45 @@ def test_p_normalization_is_the_jones_value(name, theta):
     for _ in range(40):
         b = random_braid(int(rng.integers(1, 5)), int(rng.integers(0, 11)), rng)
         assert abs(normalized_invariant(s, b).value - jones(b, A)) <= 1e-10, b
+
+
+def test_homfly_of_small_closures():
+    # at (a, z) = (i, i) an unlink of c components gives ((a - 1/a)/z)^(c-1)
+    # = 2^(c-1), both Hopf links -1, the trefoil and the figure eight -2
+    want = {"hopf+": -1, "hopf-": -1, "trefoil": -2, "figure8": -2}
+    want.update({name: 2 ** (link.braid.strands - 1) for name, link in LINKS.items() if "unlink" in name})
+    want["unknot"] = 1
+    assert {name: homfly(link.braid, 1j, 1j) for name, link in LINKS.items()} == pytest.approx(want, abs=1e-12)
+    # the right-handed trefoil in this convention
+    a, z = 1.3, 0.7
+    assert homfly(LINKS["trefoil"].braid, a, z) == pytest.approx(2 / a**2 - 1 / a**4 + z**2 / a**2)
+
+
+def test_homfly_skein_relation_and_markov_moves():
+    a, z = 0.7 + 0.3j, 0.4 - 0.9j
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        b = random_braid(int(rng.integers(2, 5)), int(rng.integers(0, 8)), rng)
+        i = int(rng.integers(1, b.strands))
+        plus, minus = (BraidWord(b.strands, b.letters + (g,)) for g in (i, -i))
+        p = homfly(b, a, z)
+        assert abs(a * homfly(plus, a, z) - homfly(minus, a, z) / a - z * p) <= 1e-12, b
+        assert abs(homfly(BraidWord(b.strands, (i,) + b.letters + (-i,)), a, z) - p) <= 1e-12, b
+        for sign in (1, -1):
+            assert abs(homfly(stabilize(b, sign), a, z) - p) <= 1e-12, b
+
+
+@pytest.mark.parametrize("name, z", [("type1", 1j), ("type3", 1j * np.sqrt(2)), ("r232", 1j * np.sqrt(2))])
+def test_p_normalization_is_a_homfly_specialization(name, z):
+    # the paper's invariants are specializations of P: at a = i, z = i for
+    # type1 and z = i sqrt(2) for type3 and r232
+    s = catalog_enhancement(name, 0.4)
+    rng = np.random.default_rng(2012)
+    words = [link.braid for link in LINKS.values()]
+    words += [random_braid(int(rng.integers(2, 5)), int(rng.integers(0, 9)), rng) for _ in range(60)]
+    for b in words:
+        want = homfly(b, 1j, z)
+        assert abs(normalized_invariant(s, b).value - want) <= 1e-12 * max(1.0, abs(want)), b
 
 
 def test_type2_closed_form_of_small_closures():

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gyblink.tensorops import (
     dagger,
     identity,
     kron_power,
+    label_changes,
     mat_inverse,
     max_abs,
     partial_trace_last,
@@ -199,3 +202,54 @@ def test_max_abs_and_close():
     assert max_abs(np.array([1, -3j])) == 3.0
     assert max_abs(identity(2) - (identity(2) + 1e-12)) <= 1e-9
     assert not max_abs(identity(2) - (identity(2) + 1e-6)) <= 1e-9
+
+
+def _label_facts(d, k, tol, mats):
+    # per entry: an entry counts unless its magnitude is at most tol (so NaN
+    # counts); compare the base-d digits of its row and its column
+    changes, keeps = [False] * k, [False] * k
+    for m in mats:
+        for row, col in np.ndindex(m.shape):
+            if abs(m[row, col]) <= tol:
+                continue
+            for j, (a, b) in enumerate(zip(np.unravel_index(row, (d,) * k), np.unravel_index(col, (d,) * k))):
+                changes[j] |= bool(a != b)
+                keeps[j] |= bool(a == b)
+    return changes, keeps
+
+
+def test_label_changes_matches_per_entry_definition():
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        d, k = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        tol = float(rng.choice([0.0, 1e-12, 1e-9, 1e-3]))
+        mats = []
+        for _ in range(int(rng.integers(1, 3))):
+            m = 10.0 ** rng.uniform(-300, -5, size=(d**k,) * 2) * np.exp(2j * np.pi * rng.random((d**k,) * 2))
+            m[rng.random(m.shape) < rng.random()] = 0
+            # per factor, all entries, only label-keeping or only label-changing ones
+            masks = [np.ones((d, d)), identity(d), 1 - identity(d)]
+            m = m * reduce(np.kron, [masks[i] for i in rng.integers(0, 3, size=k)])
+            m[rng.random(m.shape) < 0.01] = np.nan
+            mats.append(m)
+        changes, keeps = label_changes(d, tol, *mats)
+        assert (changes.tolist(), keeps.tolist()) == _label_facts(d, k, tol, mats)
+
+
+def test_label_changes_examples():
+    # factor 1 of 3 is swapped, the outer two are kept
+    swap = np.array([[0, 1], [1, 0]])
+    changes, keeps = label_changes(2, 0.0, np.kron(np.kron(identity(2), swap), identity(2)))
+    assert changes.tolist() == [False, True, False] and keeps.tolist() == [True, False, True]
+    # a 1e-300 entry counts at tolerance 0 and not at 1e-9; NaN always counts
+    leak = identity(81)
+    leak[0, 80] = 1e-300
+    assert label_changes(3, 0.0, leak)[0].tolist() == [True] * 4
+    assert label_changes(3, 1e-9, leak)[0].tolist() == [False] * 4
+    leak[0, 80] = np.nan
+    assert label_changes(3, 1e-3, leak)[0].tolist() == [True] * 4
+    # the facts of several matrices are the union of each one's
+    assert label_changes(2, 0.0, identity(4), np.kron(identity(2), swap))[0].tolist() == [False, True]
+    assert label_changes(2, 0.0, np.zeros((8, 8)))[1].tolist() == [False] * 3
+    with pytest.raises(ShapeError):
+        label_changes(2, 0.0, identity(6))

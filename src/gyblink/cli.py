@@ -48,7 +48,7 @@ from .operators import (
     verify_far_commutativity,
     verify_gybe,
 )
-from .tensorops import DEFAULT_TOL
+from .tensorops import DEFAULT_TOL, max_abs
 
 SCHEMA_VERSION = 1
 
@@ -203,31 +203,25 @@ def cmd_verify(args):
 def _suite_rows(names, trials: int, seed: int):
     rng = np.random.default_rng(seed)
     rows, enhanced = [], {}
+
+    def row(label: str, relation: str, check) -> None:
+        # each trial draws its words from rng as it runs; the row keeps the largest residual
+        rows.append((label, relation, max_abs([check() for _ in range(trials)])))
+
     for name in names:
         s = enhanced[name] = catalog_enhancement(name, 0.4)
-        worst = 0.0
-        for _ in range(trials):
-            b = _random_word(rng, 2, 4, 8)
-            worst = max(worst, markov_check(s, b, trials=2, seed=int(rng.integers(1 << 31))))
-        rows.append((name, "markov", worst))
+        row(name, "markov",
+            lambda: markov_check(s, _random_word(rng, 2, 4, 8), trials=2, seed=int(rng.integers(1 << 31))))
         y = CATALOG[name].skein_y
         if y is None:
-            worst = max(quartic_check_type2(s, _random_word(rng, 2, 4, 8)) for _ in range(trials))
-            rows.append((name, "quartic", worst))
+            row(name, "quartic", lambda: quartic_check_type2(s, _random_word(rng, 2, 4, 8)))
         else:
-            worst = max(skein_check(s, _random_word(rng, 2, 4, 8), 1.0, y) for _ in range(trials))
-            rows.append((name, "skein", worst))
-        worst = max(
-            multiplicativity_check(s, _random_word(rng, 1, 3, 6), _random_word(rng, 1, 3, 6))
-            for _ in range(trials)
-        )
-        rows.append((name, "multiplicativity", worst))
+            row(name, "skein", lambda: skein_check(s, _random_word(rng, 2, 4, 8), 1.0, y))
+        row(name, "multiplicativity",
+            lambda: multiplicativity_check(s, _random_word(rng, 1, 3, 6), _random_word(rng, 1, 3, 6)))
     if "type3" in enhanced and "r232" in enhanced:
         s3, s232 = enhanced["type3"], enhanced["r232"]
-        worst = max(
-            cross_operator_check(_random_word(rng, 2, 4, 8), s3=s3, s232=s232) for _ in range(trials)
-        )
-        rows.append(("type3/r232", "cross_operator", worst))
+        row("type3/r232", "cross_operator", lambda: cross_operator_check(_random_word(rng, 2, 4, 8), s3=s3, s232=s232))
     return rows
 
 

@@ -132,7 +132,7 @@ def sampled_perpendicularity(s: Enhancement, n: int, seed: int = 0) -> float:
 
     Pads each defect with ``mu`` factors to the full representation space,
     then measures ``|tr(rho(b) . pad)|`` over 100 seeded random braid words
-    of length 1..12 for both defect signs.
+    of length 1..12 for both defect signs. A NaN trace makes the result NaN.
     """
     if n < 2:
         raise ShapeError(f"sampling needs at least 2 strands, got {n}")
@@ -143,13 +143,8 @@ def sampled_perpendicularity(s: Enhancement, n: int, seed: int = 0) -> float:
         for dft in (s.defect_plus, s.defect_minus)
     ]
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(100):
-        length = int(rng.integers(1, 13))
-        b = random_braid(n, length, rng)
-        for blocks in pads:
-            worst = max(worst, abs(rep.trace_with_weight(ctx, b, blocks)))
-    return worst
+    words = [random_braid(n, int(rng.integers(1, 13)), rng) for _ in range(100)]
+    return max_abs([abs(rep.trace_with_weight(ctx, b, blocks)) for b in words for blocks in pads])
 
 
 def enhancement_report(s: Enhancement, tol: float = DEFAULT_TOL, seed: int = 0) -> EnhancementReport:
@@ -168,7 +163,7 @@ def enhancement_report(s: Enhancement, tol: float = DEFAULT_TOL, seed: int = 0) 
         s.defect_minus, dshape, tol
     )
     outer = check_outer_diagonal(s.op, tol)
-    sampled = max(sampled_perpendicularity(s, n, seed=seed) for n in (2, 3, 4))
+    sampled = max_abs([sampled_perpendicularity(s, n, seed=seed) for n in (2, 3, 4)])
     if plus_norm <= tol and minus_norm <= tol:
         verdict = "strong"
     elif outer is True and offdiag:

@@ -24,6 +24,7 @@ from .enhancement import Enhancement, catalog_enhancement
 from .errors import GybError, ShapeError
 from .operators import CATALOG
 from .rep import make_context, trace_with_weight
+from .tensorops import max_abs
 
 
 @dataclass(frozen=True)
@@ -133,19 +134,14 @@ def markov_check(s: Enhancement, b: BraidWord, trials: int = 10, seed: int = 0) 
     """Largest deviation of the invariant under moves that fix the closure.
 
     Conjugates ``b`` by ``trials`` seeded random words and applies both
-    stabilizations; returns the max absolute difference from the base value.
+    stabilizations; returns the largest absolute difference from the base
+    value, NaN if any difference is NaN.
     """
     base = trace_invariant(s, b).value
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        eta = random_braid(b.strands, int(rng.integers(0, 7)), rng)
-        moved = trace_invariant(s, conjugate(b, eta)).value
-        worst = max(worst, abs(moved - base))
-    for sign in (1, -1):
-        moved = trace_invariant(s, stabilize(b, sign)).value
-        worst = max(worst, abs(moved - base))
-    return worst
+    moved = [conjugate(b, random_braid(b.strands, int(rng.integers(0, 7)), rng)) for _ in range(trials)]
+    moved += [stabilize(b, sign) for sign in (1, -1)]
+    return max_abs([abs(trace_invariant(s, c).value - base) for c in moved])
 
 
 def multiplicativity_check(s: Enhancement, b1: BraidWord, b2: BraidWord) -> float:

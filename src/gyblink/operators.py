@@ -299,22 +299,21 @@ def verify_gybe(op: GybOperator) -> float:
 
 
 def verify_far_commutativity(op: GybOperator) -> float:
-    """Max commutator residual over all overlapping distant embeddings.
+    """Largest commutator residual over all overlapping distant embeddings.
 
-    Generators ``1`` and ``j - 1`` overlap while ``(j - 2) m < k``; once the
-    embedded blocks are disjoint, commutation is automatic, so the scan
-    stops there. Returns 0.0 when no overlapping case exists.
+    Generators ``1`` and ``1 + t`` must commute for every distance ``t >= 2``;
+    their blocks overlap while ``t m < k``, and disjoint blocks commute
+    automatically, so the distances checked are ``2 <= t < ceil(k / m)``.
+    A NaN residual makes the result NaN; with no overlapping case it is 0.0.
     """
     g = op.gtype
-    worst = 0.0
-    j = 4
-    while (j - 2) * g.m < g.k:
-        shape = TensorShape(g.d, g.k + (j - 2) * g.m)
+    residuals = []
+    for t in range(2, math.ceil(g.k / g.m)):
+        shape = TensorShape(g.d, g.k + t * g.m)
         lo = tensor_embed(op.r, 1, shape)
-        hi = tensor_embed(op.r, (j - 2) * g.m + 1, shape)
-        worst = max(worst, max_abs(lo @ hi - hi @ lo))
-        j += 1
-    return worst
+        hi = tensor_embed(op.r, t * g.m + 1, shape)
+        residuals.append(max_abs(lo @ hi - hi @ lo))
+    return max_abs(residuals)
 
 
 def check_outer_diagonal(op: GybOperator, tol: float = DEFAULT_TOL) -> bool | None:

@@ -64,7 +64,10 @@ def identity(dim: int) -> np.ndarray:
 
 
 def max_abs(a) -> float:
-    """Largest absolute entry; the residual norm used throughout."""
+    """Largest absolute entry; the residual norm used throughout.
+
+    A NaN entry anywhere makes the result NaN, and an empty input gives 0.0.
+    """
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
 

@@ -429,6 +429,24 @@ def test_suite_single_operator(capsys):
     assert code == 2
 
 
+def test_suite_fails_on_a_nan_trial(capsys, monkeypatch):
+    # a NaN residual in the middle trial must reach the row, not fall out of the fold
+    import gyblink.cli
+
+    real, calls = gyblink.cli.skein_check, []
+
+    def skein_check(*args):
+        calls.append(real(*args))
+        return float("nan") if len(calls) == 2 else calls[-1]
+
+    monkeypatch.setattr(gyblink.cli, "skein_check", skein_check)
+    code, out, _ = run_cli(capsys, "suite", "--operator", "type1", "--trials", "3")
+    assert len(calls) == 3
+    assert code == 1
+    assert "skein              max residual nan" in out
+    assert out.rstrip().endswith("FAIL (tolerance 1e-09)")
+
+
 def test_tolerance_env_default(capsys, monkeypatch):
     monkeypatch.setenv("GYBLINK_TOLERANCE", "0.01")
     code, payload, _ = run_json(capsys, "verify", "--operator", "type1")

@@ -220,6 +220,17 @@ def test_sampled_perpendicularity_detects_corruption():
     assert sampled_perpendicularity(bad, 3, seed=3) > 0.5
 
 
+def test_sampled_nan_traces_fail_the_report():
+    # products of a 1e200-scaled unitary overflow, so some sampled traces are NaN
+    q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(8, 8)) + 0j)
+    s = make_enhancement(load_custom(1e200 * q, GybType(2, 3, 1)), None, 1, 1)
+    with np.errstate(all="ignore"):
+        assert np.isnan(sampled_perpendicularity(s, 3))
+        report = enhancement_report(s)
+    assert np.isnan(report.sampled_perp_max)
+    assert report.verdict == "failed"
+
+
 def test_sampled_perpendicularity_needs_two_strands():
     s = catalog_enhancement("type1", 0.8)
     with pytest.raises(ShapeError):

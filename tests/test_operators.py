@@ -152,6 +152,13 @@ def test_mislabeled_r232_fails_far_commutativity():
     assert verify_far_commutativity(mislabeled) > 0.1
 
 
+def test_far_commutativity_keeps_a_nan_residual():
+    # 1e200 squared overflows, so the commutator of the scaled identity is inf - inf
+    op = load_custom(1e200 * np.eye(8), GybType(2, 3, 1))
+    with np.errstate(all="ignore"):
+        assert np.isnan(verify_far_commutativity(op))
+
+
 def test_random_unitary_is_not_gyb():
     rng = np.random.default_rng(7)
     z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))

@@ -204,6 +204,21 @@ def test_max_abs_and_close():
     assert not max_abs(identity(2) - (identity(2) + 1e-6)) <= 1e-9
 
 
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_max_abs_keeps_nan_anywhere(where, dtype):
+    # the checks fold their residuals with max_abs, so a NaN must never be dropped
+    a = np.array([1.0, -7.0, 2.5, 0.0, 3.0], dtype=dtype)
+    a[where] = np.nan
+    assert np.isnan(max_abs(a))
+    assert np.isnan(max_abs(list(a)))
+
+
+def test_max_abs_of_empty_input_is_zero():
+    assert max_abs([]) == 0.0
+    assert max_abs(np.zeros((0, 3), dtype=np.complex128)) == 0.0
+
+
 def _label_facts(d, k, tol, mats):
     # per entry: an entry counts unless its magnitude is at most tol (so NaN
     # counts); compare the base-d digits of its row and its column

@@ -14,14 +14,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BraidParseError, ShapeError
+from .errors import BraidParseError, GybError, ShapeError
 
 
-def _decimal(text: str) -> int:
-    # int() alone also reads "1_0" and non-ASCII digits
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
+def integer(text: str) -> int:
+    """Read ASCII ``[+-]?[0-9]+``, whitespace around it ignored; ``1_0``, read by int(), is a ValueError."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
         raise ValueError(text)
     return int(text)
+
+
+def read_lines(path, error: type[GybError], what: str) -> list[str]:
+    """Lines of a UTF-8 file, less a leading byte-order mark; ``error`` if unreadable."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig").splitlines()
+    except UnicodeDecodeError:
+        raise error(f"{path}: {what} must be UTF-8 text") from None
+    except OSError as exc:
+        raise error(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -53,7 +63,7 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     letters = []
     for tok in text.split():
         try:
-            g = _decimal(tok)
+            g = integer(tok)
         except ValueError:
             raise BraidParseError(f"bad braid token {tok!r}, expected a signed integer") from None
         if g == 0:
@@ -191,17 +201,12 @@ def resolve_braid(text: str, strands: int | None = None, catalog: dict[str, Name
 def load_catalog_file(path) -> dict[str, NamedLink]:
     """Read a link catalog: one ``name<TAB>strands<TAB>word`` record per line.
 
-    Blank lines and lines starting with ``#`` are skipped. A file that cannot
-    be read or is not UTF-8 raises BraidParseError.
+    Strand counts are ASCII integers. Blank lines and lines starting with ``#``
+    are skipped; a later ``#`` is text, as in ``3_1#3_1``. A file that cannot be
+    read or is not UTF-8 (a leading byte-order mark is dropped) raises BraidParseError.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise BraidParseError(f"{path}: link catalogs must be UTF-8 text") from None
-    except OSError as exc:
-        raise BraidParseError(str(exc)) from None
     links: dict[str, NamedLink] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path, BraidParseError, "link catalogs"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
@@ -210,7 +215,7 @@ def load_catalog_file(path) -> dict[str, NamedLink]:
         name, strands_text, word = parts
         name = name.strip()
         try:
-            strands = _decimal(strands_text.strip())
+            strands = integer(strands_text)
         except ValueError:
             raise BraidParseError(f"{path}:{lineno}: bad strand count {strands_text!r}") from None
         links[name] = NamedLink(name, parse_braid(word, strands))

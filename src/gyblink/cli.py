@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .braids import LINKS, closure_components, format_braid, load_catalog_file, random_braid, resolve_braid
+from .braids import LINKS, closure_components, format_braid, integer, load_catalog_file, random_braid, resolve_braid
 from .enhancement import catalog_enhancement, enhancement_report, make_enhancement
 from .errors import GybError, ResourceCapError
 from .invariant import (
@@ -54,7 +54,7 @@ SCHEMA_VERSION = 1
 
 
 def _resolve_tolerance(args) -> float:
-    # --tolerance wins over GYBLINK_TOLERANCE; whichever is used must be finite and >= 0
+    # --tolerance wins over GYBLINK_TOLERANCE; an error quotes the flag as the float it reads as
     source, text = "--tolerance", args.tolerance
     if text is None:
         source, text = "GYBLINK_TOLERANCE", os.environ.get("GYBLINK_TOLERANCE", DEFAULT_TOL)
@@ -62,6 +62,8 @@ def _resolve_tolerance(args) -> float:
         tol = float(text)
     except ValueError:
         tol = math.nan
+    else:
+        text = tol if source == "--tolerance" else text
     if not (math.isfinite(tol) and tol >= 0):
         raise GybError(f"{source} must be a finite non-negative number, got {text!r}")
     return tol
@@ -69,9 +71,12 @@ def _resolve_tolerance(args) -> float:
 
 def _seed(text: str) -> int:
     # numpy's generators take only non-negative integer seeds
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+    try:
+        if (seed := integer(text)) >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
 def _dumps(payload) -> str:
@@ -265,12 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (compute, verify):
         p.add_argument("--theta", type=float, default=None, help="family parameter, default 0")
     for p in (verify, suite):
-        p.add_argument("--tolerance", type=float, default=None,
+        p.add_argument("--tolerance", default=None,
                        help=f"absolute tolerance (default from GYBLINK_TOLERANCE or {DEFAULT_TOL:g})")
         p.add_argument("--seed", type=_seed, default=0)
 
     compute.add_argument("--braid", required=True, help="braid word text or a catalog link name")
-    compute.add_argument("--strands", type=int, default=None)
+    compute.add_argument("--strands", type=integer, default=None)
     compute.add_argument("--normalization", choices=("raw", "P", "tilde"), default="raw")
     compute.add_argument("--catalog-file", default=None, help="extra links, one name<TAB>strands<TAB>word per line")
     compute.add_argument("--alpha", default=None, help="writhe weight for custom operators, e.g. '0.707+0.707i'")
@@ -278,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--allow-large", action="store_true", help="when no evaluator fits the array cap, run the "
                          "one with the smallest largest array instead of refusing; a dimension that overflows a "
                          "float is still refused")
-    suite.add_argument("--trials", type=int, default=25, help="random braids per relation")
+    suite.add_argument("--trials", type=integer, default=25, help="random braids per relation")
 
     compute.set_defaults(func=cmd_compute)
     verify.set_defaults(func=cmd_verify)

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .braids import integer, read_lines
 from .errors import GybError, OperatorFileError, ShapeError
 from .tensorops import (
     DEFAULT_TOL,
@@ -214,23 +215,17 @@ def read_operator_file(path) -> GybOperator:
 
     Layout: first non-blank line is ``d k m``; the next ``d**k`` lines each
     hold ``d**k`` whitespace-separated finite complex entries in ``a+bi``
-    form, one matrix row per line. Text from ``#`` to the end of a line is
-    a comment. A file that cannot be read or is not UTF-8 raises
-    OperatorFileError.
+    form, one matrix row per line; ``d k m`` are ASCII integers. Text from ``#``
+    to the end of a line is a comment. A file that cannot be read or is not
+    UTF-8 (a leading byte-order mark is dropped) raises OperatorFileError.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise OperatorFileError(f"{path}: operator files must be UTF-8 text") from None
-    except OSError as exc:
-        raise OperatorFileError(str(exc)) from None
-    numbered = enumerate(text.splitlines(), start=1)
+    numbered = enumerate(read_lines(path, OperatorFileError, "operator files"), start=1)
     lines = [(n, toks) for n, ln in numbered if (toks := ln.split("#", 1)[0].split())]
     if not lines:
         raise OperatorFileError(f"{path}: empty operator file")
     lineno, head = lines[0]
     try:
-        d, k, m = (int(x) for x in head)
+        d, k, m = (integer(x) for x in head)
     except ValueError:
         raise OperatorFileError(f"{path}:{lineno}: first line must be 'd k m', got {' '.join(head)!r}") from None
     try:

@@ -40,18 +40,12 @@ class TensorShape:
 
 
 def as_matrix(entries, dim: int | None = None) -> np.ndarray:
-    """Coerce ``entries`` to a square complex matrix.
+    """Coerce the 2-d array-like ``entries`` to a square complex matrix.
 
-    Accepts a 2-d array-like, or a flat row-major sequence together with an
-    optional ``dim``. Non-square input raises ShapeError.
+    Non-square input, a flat sequence included, raises ShapeError, and so
+    does a side other than ``dim`` when ``dim`` is given.
     """
     a = np.asarray(entries, dtype=np.complex128)
-    if a.ndim == 1:
-        if dim is None:
-            dim = int(round(len(a) ** 0.5))
-        if dim * dim != a.size:
-            raise ShapeError(f"cannot reshape {a.size} entries into a square matrix")
-        a = a.reshape(dim, dim)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:

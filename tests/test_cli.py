@@ -286,6 +286,49 @@ def test_operator_file_header_error_names_the_file(tmp_path, capsys, header):
     assert err.startswith("error:") and f"{path}:1:" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff13", "1.0", "+3"])
+@pytest.mark.parametrize("reader", ["word", "catalog", "header", "--strands", "--trials", "--seed"])
+def test_every_integer_reads_by_one_rule(tmp_path, capsys, reader, token):
+    # ASCII [+-]?[0-9]+ wherever an integer is read; int() alone also reads
+    # "1_0" and non-ASCII digits
+    catalog, header = tmp_path / "links.tsv", tmp_path / "op.mat"
+    catalog.write_text(f"x\t{token}\t1\n", encoding="utf-8")
+    write_operator_file(header, build_type1(0.3))
+    rows = header.read_text().splitlines()[1:]
+    header.write_text("\n".join([f"2 {token} 1", *rows]) + "\n", encoding="utf-8")
+    argv = {
+        "word": ["compute", "--operator", "type1", "--braid", token],
+        "catalog": ["compute", "--operator", "type1", "--braid", "x", "--catalog-file", str(catalog)],
+        "header": ["verify", "--operator", f"custom:{header}"],
+        "--strands": ["compute", "--operator", "type1", "--braid", "1", "--strands", token],
+        "--trials": ["suite", "--operator", "type1", "--trials", token],
+        "--seed": ["verify", "--operator", "type1", "--seed", token],
+    }[reader]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    if token == "+3":
+        assert code == 0 and out
+    else:
+        assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("kind", ["operator", "catalog"])
+def test_a_byte_order_mark_reads_like_the_plain_file(tmp_path, capsys, kind):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    if kind == "operator":
+        write_operator_file(plain, build_type1(0.3))
+        argv = ["verify", "--operator", "custom:{}"]
+    else:
+        plain.write_text("knot\t2\t1 1 1\n")
+        argv = ["compute", "--operator", "type1", "--braid", "knot", "--catalog-file", "{}"]
+    marked.write_text("\ufeff" + plain.read_text(), encoding="utf-8")
+    want, got = (run_cli(capsys, *(token.format(path) for token in argv)) for path in (plain, marked))
+    assert want[0] == 0 and want[1] and got == want
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -484,7 +527,7 @@ def test_tolerance_env_must_be_finite(capsys, monkeypatch, value):
     assert payload["tolerance"] == 0.01
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
 def test_tolerance_flag_must_be_finite(capsys, value):
     code, out, err = run_cli(capsys, "verify", "--operator", "type1", "--tolerance", value)
     assert code == 2

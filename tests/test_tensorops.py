@@ -185,10 +185,11 @@ def test_tensor_embed_errors():
 
 
 def test_as_matrix_and_shape():
-    a = as_matrix([1, 2, 3, 4])
+    a = as_matrix([[1, 2], [3, 4]])
     assert a.shape == (2, 2) and a.dtype == np.complex128
-    with pytest.raises(ShapeError):
-        as_matrix([1, 2, 3])
+    for flat in ([1, 2, 3, 4], [1, 2, 3]):
+        with pytest.raises(ShapeError):
+            as_matrix(flat)
     with pytest.raises(ShapeError):
         as_matrix(np.zeros((2, 3)))
     with pytest.raises(ShapeError):

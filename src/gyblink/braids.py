@@ -201,9 +201,10 @@ def resolve_braid(text: str, strands: int | None = None, catalog: dict[str, Name
 def load_catalog_file(path) -> dict[str, NamedLink]:
     """Read a link catalog: one ``name<TAB>strands<TAB>word`` record per line.
 
-    Strand counts are ASCII integers. Blank lines and lines starting with ``#``
-    are skipped; a later ``#`` is text, as in ``3_1#3_1``. A file that cannot be
-    read or is not UTF-8 (a leading byte-order mark is dropped) raises BraidParseError.
+    Names are not blank and strand counts are ASCII integers. Blank lines
+    and lines starting with ``#`` are skipped; a later ``#`` is text, as in
+    ``3_1#3_1``. A file that cannot be read or is not UTF-8 (a leading
+    byte-order mark is dropped) raises BraidParseError.
     """
     links: dict[str, NamedLink] = {}
     for lineno, line in enumerate(read_lines(path, BraidParseError, "link catalogs"), start=1):
@@ -214,6 +215,8 @@ def load_catalog_file(path) -> dict[str, NamedLink]:
             raise BraidParseError(f"{path}:{lineno}: expected name<TAB>strands<TAB>word")
         name, strands_text, word = parts
         name = name.strip()
+        if not name:
+            raise BraidParseError(f"{path}:{lineno}: empty link name")
         try:
             strands = integer(strands_text)
         except ValueError:

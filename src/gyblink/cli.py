@@ -253,8 +253,15 @@ def cmd_suite(args):
     return _verdict(payload, lines, tol, all(residual <= tol for _, _, residual in rows))
 
 
+class _Parser(argparse.ArgumentParser):
+    # A bad option ends in one "error:" line, as every other bad input does,
+    # not argparse's usage block; subparsers are made of this class too.
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gyblink",
         description="Link invariants from enhanced generalized Yang-Baxter operators.",
     )

@@ -10,12 +10,15 @@ The weighted trace of a closed braid first compresses the word. Two
 letters commute exactly when their windows share only factors both
 conserve (whose label neither can change, ``GybOperator.moved``): disjoint
 windows, and for outer-diagonal ``(2,3,1)`` operators also windows two
-apart. So each letter joins the latest earlier block on its own window
-(``block = r_letter @ block``) when every block after that one lets it
-pass, and starts a new block otherwise (the trace-monoid rearrangement of
-Cartier and Foata). A word with nothing to fuse keeps one block per
-letter. Both evaluators take one list, the non-identity weight blocks and
-then these, chosen per call from the list and the context alone:
+apart. So each letter joins the latest earlier group on its own window
+when every group after that one lets it pass, and starts a new group
+otherwise (the trace-monoid rearrangement of Cartier and Foata). A group
+holds letters of one generator, so its block is the exact power ``r^e``,
+``e`` its positive letters less its negative ones: ``r`` or ``r_inv``
+itself for ``|e| = 1``, and no block at all for ``e = 0``, the identity.
+A word with nothing to fuse keeps one block per letter. Both evaluators
+take one list, the non-identity weight blocks and then these, chosen per
+call from the list and the context alone:
 
 * the column sweep pushes one column per label of the ``M`` factors the
   blocks move (whose label a letter can change or a weight block covers)
@@ -170,23 +173,30 @@ def _letters(ctx: RepContext, b: BraidWord) -> list[list]:
 
 
 def _fuse(ctx: RepContext, b: BraidWord) -> list[list]:
-    # The letters of _letters fused into fewer blocks in the order they act.
+    # The letters of _letters grouped into fewer blocks in the order they act.
     # Two windows ``s`` factors apart share a factor one of them moves when
     # ``s = +-(a - j)`` for a moved offset ``a`` and any offset ``j``. latest:
-    # per first factor, the block a letter there joins, dropped once a block
-    # at such a distance comes after it.
+    # per first factor, the group a letter there joins, dropped once a group
+    # at such a distance comes after it. A group holds letters of one
+    # generator, so its block is ``r^e`` with ``e`` its positive letters less
+    # its negative ones; a group with ``e = 0`` is the identity and vanishes.
     t, op = ctx.op.gtype, ctx.op
     clash = {sign * (a - j) for a in op.moved for j in range(t.k) for sign in (1, -1)}
-    blocks, latest = [], {}
-    for letter in _letters(ctx, b):
-        first = letter[1]
+    groups, latest = [], {}
+    for g in b.letters:
+        first, sign = t.m * (abs(g) - 1) + 1, 1 if g > 0 else -1
         if first in latest:
-            latest[first][0] = letter[0] @ latest[first][0]
+            latest[first][0] += sign
         else:
             for s in clash:
                 latest.pop(first + s, None)
-            latest[first] = letter
-            blocks.append(letter)
+            latest[first] = group = [sign, first]
+            groups.append(group)
+    blocks = []
+    for e, first in groups:
+        if e:
+            mat = op.r if e > 0 else op.r_inv
+            blocks.append([mat if abs(e) == 1 else np.linalg.matrix_power(mat, abs(e)), first, t.k, op.moved])
     return blocks
 
 
@@ -234,14 +244,18 @@ def _network(ctx: RepContext, blocks):
         tensors.append(mat.reshape((t.d,) * 2 * span))
         legs.append(out + wires[pos - 1:pos - 1 + span])
         wires[pos - 1:pos - 1 + span] = out
-    close = {w: j for j, w in enumerate(wires)}
+    # only a tensor with a last output label changes; one that also took
+    # that factor's first input label repeats it and is traced over it
+    close = {w: j for j, w in enumerate(wires) if w != j}
     for i, ls in enumerate(legs):
+        if close.keys().isdisjoint(ls):
+            continue
         ls = [close.get(x, x) for x in ls]
         legs[i] = [x for x in ls if ls.count(x) == 1]
         if len(legs[i]) < len(ls):
             axis = {x: n for n, x in enumerate(dict.fromkeys(ls))}
             tensors[i] = np.einsum(tensors[i], [axis[x] for x in ls], [axis[x] for x in legs[i]])
-    return tensors, legs, t.d ** sum(w == j for j, w in enumerate(wires))
+    return tensors, legs, t.d ** (ctx.factors - len(close))
 
 
 def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int]:
@@ -256,31 +270,28 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int]:
     the inputs. Returns the steps as id pairs, the multiply-add count of the
     whole contraction and the element count of its largest tensor.
     """
-    flops = 0
-    masks, first = [], {}
-    nbrs = [set() for _ in legs]
+    owners, masks = {}, []  # owners: per label, the xor of the two tensor ids it joins
     for i, ls in enumerate(legs):
         mask = 0
         for x in ls:
+            owners[x] = owners.get(x, 0) ^ i
             mask |= 1 << x
-            j = first.setdefault(x, i)
-            if j != i:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
         masks.append(mask)
+    nbrs = [{owners[x] ^ i for x in ls} for i, ls in enumerate(legs)]
 
     # no mask, nor the union of two, has more bits than there are labels
-    power = [d**e for e in range(len(first) + 1)]
+    power = [d**e for e in range(len(owners) + 1)]
     sizes = [power[mask.bit_count()] for mask in masks]
-    peak = max(sizes, default=1)
+    flops, peak = 0, max(sizes, default=1)
     heap = [(power[(masks[i] ^ masks[j]).bit_count()] - sizes[i] - sizes[j], i, j)
             for i, ns in enumerate(nbrs) for j in ns if i < j]
     heapq.heapify(heap)
     edges = len(heap)  # pairs of tensors that share a leg; every other heap entry is stale
     used = [False] * len(legs)
     steps = []
+    pop, push = heapq.heappop, heapq.heappush
     while edges:
-        _, i, j = heapq.heappop(heap)
+        _, i, j = pop(heap)
         if used[i] or used[j]:
             continue
         used[i] = used[j] = True
@@ -293,12 +304,14 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int]:
         masks.append(mask)
         sizes.append(size)
         used.append(False)
-        nbrs.append((nbrs[i] | nbrs[j]) - {i, j})
-        edges += len(nbrs[c]) + 1 - len(nbrs[i]) - len(nbrs[j])
-        for k in nbrs[c]:
+        ns = nbrs[i] | nbrs[j]
+        ns -= {i, j}
+        nbrs.append(ns)
+        edges += len(ns) + 1 - len(nbrs[i]) - len(nbrs[j])
+        for k in ns:
             nbrs[k].difference_update((i, j))
             nbrs[k].add(c)
-            heapq.heappush(heap, (power[(masks[k] ^ mask).bit_count()] - sizes[k] - size, k, c))
+            push(heap, (power[(masks[k] ^ mask).bit_count()] - sizes[k] - size, k, c))
     return steps, flops, peak
 
 
@@ -312,13 +325,20 @@ def _contract(network, steps) -> complex:
     for i, j in steps:
         a, b, la = tensors[i], tensors[j], legs[i]
         rest = {x: n for n, x in enumerate(legs[j])}
-        fa = [n for n, x in enumerate(la) if x not in rest]
-        pa = [n for n, x in enumerate(la) if x in rest]
-        pb = [rest.pop(la[n]) for n in pa]
+        fa, pa, pb, free = [], [], [], []
+        for n, x in enumerate(la):
+            m = rest.pop(x, None)
+            if m is None:
+                fa.append(n)
+                free.append(x)
+            else:
+                pa.append(n)
+                pb.append(m)
         d, k = a.shape[0], a.shape[0] ** len(pa)  # every axis of every tensor has length d
-        legs.append([la[n] for n in fa] + list(rest))
+        free += rest
+        legs.append(free)
         tensors.append(np.dot(a.transpose(fa + pa).reshape(-1, k),
-                              b.transpose(pb + list(rest.values())).reshape(k, -1)).reshape((d,) * len(legs[-1])))
+                              b.transpose(pb + list(rest.values())).reshape(k, -1)).reshape((d,) * len(free)))
         tensors[i] = tensors[j] = None
     value = complex(loop_factor)
     for arr in tensors:

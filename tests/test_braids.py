@@ -210,3 +210,8 @@ def test_catalog_file_errors(tmp_path):
     bad.write_text("x\t2\t1_0\n")
     with pytest.raises(BraidParseError, match="bad braid token"):
         load_catalog_file(bad)
+    # a blank name would shadow the empty braid word
+    for name in ("", "  "):
+        bad.write_text(f"ok\t2\t1\n{name}\t2\t1 1 1\n")
+        with pytest.raises(BraidParseError, match=r"bad.tsv:2: empty link name"):
+            load_catalog_file(bad)

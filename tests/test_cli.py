@@ -154,6 +154,16 @@ def test_catalog_file_names_win_over_words(tmp_path, capsys):
     assert payload["writhe"] == 3
 
 
+def test_blank_catalog_name_exits_2(tmp_path, capsys):
+    # a blank name would shadow the empty braid word, the identity
+    path = tmp_path / "links.tsv"
+    path.write_text("\t2\t1 1 1\n")
+    code, out, err = run_cli(capsys, "compute", "--operator", "type1", "--braid", "", "--strands", "2",
+                             "--catalog-file", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:1: empty link name\n"
+
+
 def test_huge_catalog_record_costs_nothing_until_used(tmp_path, capsys):
     # loading a record does not allocate per strand; using it hits the float-range refusal
     path = tmp_path / "links.tsv"
@@ -578,12 +588,17 @@ def test_negative_values_read_as_with_equals(tmp_path, capsys, argv, code):
     ("verify", "--operator", "type1", "--t", "-1e-3"),
     ("suite", "--trials", "1", "--t", "-1e-3"),
     ("compute", "--operator", "type1", "--braid", "trefoil", "--al", "-1"),
+    ("compute", "--operator", "type1", "--braid", "trefoil", "--strands", "1_0"),
+    ("compute", "--operator", "type1"),
+    ("nope",),
 ])
 def test_unread_or_bad_options_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", [("compute", "--braid", "trefoil"), ("verify",)])

@@ -54,7 +54,7 @@ SCHEMA_VERSION = 1
 
 
 def _resolve_tolerance(args) -> float:
-    # --tolerance wins over GYBLINK_TOLERANCE; an error quotes the flag as the float it reads as
+    # --tolerance wins over GYBLINK_TOLERANCE; an error quotes the text given
     source, text = "--tolerance", args.tolerance
     if text is None:
         source, text = "GYBLINK_TOLERANCE", os.environ.get("GYBLINK_TOLERANCE", DEFAULT_TOL)
@@ -62,8 +62,6 @@ def _resolve_tolerance(args) -> float:
         tol = float(text)
     except ValueError:
         tol = math.nan
-    else:
-        text = tol if source == "--tolerance" else text
     if not (math.isfinite(tol) and tol >= 0):
         raise GybError(f"{source} must be a finite non-negative number, got {text!r}")
     return tol

@@ -16,9 +16,17 @@ otherwise (the trace-monoid rearrangement of Cartier and Foata). A group
 holds letters of one generator, so its block is the exact power ``r^e``,
 ``e`` its positive letters less its negative ones: ``r`` or ``r_inv``
 itself for ``|e| = 1``, and no block at all for ``e = 0``, the identity.
-A word with nothing to fuse keeps one block per letter. Both evaluators
-take one list, the non-identity weight blocks and then these, chosen per
-call from the list and the context alone:
+A group that vanishes no longer parts the groups on either side of it: a
+later letter can join the group before it. Under the identity weight the
+trace is cyclic in the word, so the word is read as its closure: a group
+that commutes with every earlier group also joins the latest group on its
+window, which commutes with every later one, across the end of the word.
+When the two cancel, the groups they parted can meet in turn, so the
+letters of ``w`` in a conjugate ``w b w^-1`` all cancel. A non-identity
+weight need not commute with the word, so a weighted trace reads the word
+open. A word with nothing to fuse keeps one block per letter. Both
+evaluators take one list, the non-identity weight blocks and then these,
+chosen per call from the list and the context alone:
 
 * the column sweep pushes one column per label of the ``M`` factors the
   blocks move (whose label a letter can change or a weight block covers)
@@ -56,7 +64,8 @@ maps to the composition of its letters read right to left.
 from __future__ import annotations
 
 import heapq
-import itertools
+import weakref
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -81,6 +90,9 @@ SWEEP_GATE = 1 << 19
 #: 4096 for identity-weight (2, 3, 1) family words (11 strands), so all such
 #: words evaluate. The sweep keeps two such arrays alive, a 128 MiB peak.
 PEAK_CAP = 1 << 22
+
+# per operator, its powers r^e by exponent e, filled as words need them
+_POWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,17 +161,22 @@ def dense_representation(ctx: RepContext, b: BraidWord) -> np.ndarray:
 
 def _place_blocks(ctx: RepContext, blocks) -> list[list]:
     # The validated non-identity weight blocks, which lead a trace's block list and move all they cover.
+    # known: per id and span of a block object, the object (held, so its id stays its own) and its
+    # array, None for the identity: a weight that repeats one object is checked once
     d = ctx.op.gtype.d
     placed = []
     if blocks is not None:
-        pos = 1
+        pos, known = 1, {}
         for mat, span in blocks:
-            mat = np.asarray(mat, dtype=np.complex128)
-            span_dim = d**span
-            if mat.shape != (span_dim, span_dim):
-                raise ShapeError(f"weight block spanning {span} factors must be {span_dim}x{span_dim}")
-            if not np.array_equal(mat, identity(span_dim)):
-                placed.append([mat, pos, span, range(span)])
+            if (id(mat), span) not in known:
+                arr = np.asarray(mat, dtype=np.complex128)
+                span_dim = d**span
+                if arr.shape != (span_dim, span_dim):
+                    raise ShapeError(f"weight block spanning {span} factors must be {span_dim}x{span_dim}")
+                known[id(mat), span] = mat, None if np.array_equal(arr, identity(span_dim)) else arr
+            arr = known[id(mat), span][1]
+            if arr is not None:
+                placed.append([arr, pos, span, range(span)])
             pos += span
         if pos - 1 != ctx.factors:
             raise ShapeError(f"weight blocks cover {pos - 1} factors, context has {ctx.factors}")
@@ -172,31 +189,66 @@ def _letters(ctx: RepContext, b: BraidWord) -> list[list]:
     return [[op.r if g > 0 else op.r_inv, t.m * (abs(g) - 1) + 1, t.k, op.moved] for g in b.letters]
 
 
-def _fuse(ctx: RepContext, b: BraidWord) -> list[list]:
-    # The letters of _letters grouped into fewer blocks in the order they act.
-    # Two windows ``s`` factors apart share a factor one of them moves when
-    # ``s = +-(a - j)`` for a moved offset ``a`` and any offset ``j``. latest:
-    # per first factor, the group a letter there joins, dropped once a group
-    # at such a distance comes after it. A group holds letters of one
-    # generator, so its block is ``r^e`` with ``e`` its positive letters less
-    # its negative ones; a group with ``e = 0`` is the identity and vanishes.
+def _powers(op: GybOperator) -> dict[int, np.ndarray]:
+    powers = _POWERS.get(op)
+    if powers is None:
+        powers = _POWERS[op] = {1: op.r, -1: op.r_inv}
+    return powers
+
+
+def _fuse(ctx: RepContext, b: BraidWord, cyclic: bool = False) -> list[list]:
+    # The letters of _letters grouped into fewer blocks in the order they act,
+    # by the rule of the module docstring. Two generators clash (their windows
+    # share a factor one of them moves) when they lie at most ``reach`` apart:
+    # ``m`` times their distance is at most the furthest any offset lies from
+    # a moved one. A group is [e, generator + reach], shifted so that the
+    # generators within reach of any one start at index 0 or above; e = 0
+    # marks a vanished group. stacks: per generator, the groups on it and on
+    # those it clashes with, in the order they start. A letter joins the last
+    # live group on its stack if that is on its own generator, else starts
+    # one. Vanished groups are skipped, so they part nothing, and each is
+    # pushed and popped once per stack, so the walk is linear. With cyclic,
+    # the first live group on a stack commutes with all before it and the
+    # last with all after it: when both are on the stack's generator the
+    # first joins the last across the closure, and if they cancel, the stacks
+    # within reach are looked at again.
     t, op = ctx.op.gtype, ctx.op
-    clash = {sign * (a - j) for a in op.moved for j in range(t.k) for sign in (1, -1)}
-    groups, latest = [], {}
+    reach = max((max(a, t.k - 1 - a) for a in op.moved), default=0) // t.m
+    stacks = [deque() for _ in range(ctx.n + 2 * reach)]
+    groups = []
     for g in b.letters:
-        first, sign = t.m * (abs(g) - 1) + 1, 1 if g > 0 else -1
-        if first in latest:
-            latest[first][0] += sign
-        else:
-            for s in clash:
-                latest.pop(first + s, None)
-            latest[first] = group = [sign, first]
-            groups.append(group)
+        e, i = (1, g + reach) if g > 0 else (-1, reach - g)
+        stack = stacks[i]
+        while stack and not stack[-1][0]:
+            stack.pop()
+        if stack and stack[-1][1] == i:
+            stack[-1][0] += e
+            continue
+        groups.append(group := [e, i])
+        for near in stacks[i - reach:i + reach + 1]:
+            near.append(group)
+    if cyclic:
+        todo = list(range(reach + 1, ctx.n + reach))
+        while todo:
+            stack = stacks[i := todo.pop()]
+            while stack and not stack[0][0]:
+                stack.popleft()
+            while stack and not stack[-1][0]:
+                stack.pop()
+            if len(stack) > 1 and stack[0][1] == stack[-1][1] == i:
+                first = stack.popleft()
+                stack[-1][0] += first[0]
+                first[0] = 0
+                if not stack[-1][0]:
+                    todo += range(i - reach, i + reach + 1)
+    groups = [group for group in groups if group[0]]
+    powers = _powers(op)
     blocks = []
-    for e, first in groups:
-        if e:
-            mat = op.r if e > 0 else op.r_inv
-            blocks.append([mat if abs(e) == 1 else np.linalg.matrix_power(mat, abs(e)), first, t.k, op.moved])
+    for e, i in groups:
+        mat = powers.get(e)
+        if mat is None:
+            mat = powers[e] = np.linalg.matrix_power(op.r if e > 0 else op.r_inv, abs(e))
+        blocks.append([mat, t.m * (i - reach - 1) + 1, t.k, op.moved])
     return blocks
 
 
@@ -235,15 +287,15 @@ def _network(ctx: RepContext, blocks):
     twice, so it is traced over those factors here: every returned label
     sits on exactly two tensors.
     """
-    t = ctx.op.gtype
-    fresh = itertools.count(ctx.factors)
+    d, fresh = ctx.op.gtype.d, ctx.factors  # fresh: the next unused label
     wires = list(range(ctx.factors))
     tensors, legs = [], []
     for mat, pos, span, _ in blocks:
-        out = [next(fresh) for _ in range(span)]
-        tensors.append(mat.reshape((t.d,) * 2 * span))
-        legs.append(out + wires[pos - 1:pos - 1 + span])
-        wires[pos - 1:pos - 1 + span] = out
+        ins = wires[pos - 1:pos - 1 + span]
+        wires[pos - 1:pos - 1 + span] = out = list(range(fresh, fresh + span))
+        fresh += span
+        tensors.append(mat.reshape((d,) * 2 * span))
+        legs.append(out + ins)
     # only a tensor with a last output label changes; one that also took
     # that factor's first input label repeats it and is traced over it
     close = {w: j for j, w in enumerate(wires) if w != j}
@@ -251,11 +303,11 @@ def _network(ctx: RepContext, blocks):
         if close.keys().isdisjoint(ls):
             continue
         ls = [close.get(x, x) for x in ls]
-        legs[i] = [x for x in ls if ls.count(x) == 1]
-        if len(legs[i]) < len(ls):
+        legs[i] = once = [x for x in ls if ls.count(x) == 1]
+        if len(once) < len(ls):
             axis = {x: n for n, x in enumerate(dict.fromkeys(ls))}
-            tensors[i] = np.einsum(tensors[i], [axis[x] for x in ls], [axis[x] for x in legs[i]])
-    return tensors, legs, t.d ** (ctx.factors - len(close))
+            tensors[i] = np.einsum(tensors[i], [axis[x] for x in ls], [axis[x] for x in once])
+    return tensors, legs, d ** (ctx.factors - len(close))
 
 
 def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int]:
@@ -270,14 +322,17 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int]:
     the inputs. Returns the steps as id pairs, the multiply-add count of the
     whole contraction and the element count of its largest tensor.
     """
-    owners, masks = {}, []  # owners: per label, the xor of the two tensor ids it joins
+    owners, masks = {}, []  # owners: per label, the first tensor id it is on
+    nbrs = [set() for _ in legs]
     for i, ls in enumerate(legs):
         mask = 0
         for x in ls:
-            owners[x] = owners.get(x, 0) ^ i
             mask |= 1 << x
+            j = owners.setdefault(x, i)
+            if j != i:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
         masks.append(mask)
-    nbrs = [{owners[x] ^ i for x in ls} for i, ls in enumerate(legs)]
 
     # no mask, nor the union of two, has more bits than there are labels
     power = [d**e for e in range(len(owners) + 1)]
@@ -323,22 +378,25 @@ def _contract(network, steps) -> complex:
     tensors, legs, loop_factor = network
     tensors, legs = list(tensors), list(legs)
     for i, j in steps:
-        a, b, la = tensors[i], tensors[j], legs[i]
+        a, b = tensors[i], tensors[j]
         rest = {x: n for n, x in enumerate(legs[j])}
-        fa, pa, pb, free = [], [], [], []
-        for n, x in enumerate(la):
+        # a's axes in dot order: its free ones, then those it shares; b's: those it shares, then its free ones
+        order_a, shared, order_b, free = [], [], [], []
+        for n, x in enumerate(legs[i]):
             m = rest.pop(x, None)
             if m is None:
-                fa.append(n)
+                order_a.append(n)
                 free.append(x)
             else:
-                pa.append(n)
-                pb.append(m)
-        d, k = a.shape[0], a.shape[0] ** len(pa)  # every axis of every tensor has length d
+                shared.append(n)
+                order_b.append(m)
+        d, k = a.shape[0], a.shape[0] ** len(shared)  # every axis of every tensor has length d
+        order_a += shared
+        order_b += rest.values()
         free += rest
         legs.append(free)
-        tensors.append(np.dot(a.transpose(fa + pa).reshape(-1, k),
-                              b.transpose(pb + list(rest.values())).reshape(k, -1)).reshape((d,) * len(free)))
+        tensors.append(np.dot(a.transpose(order_a).reshape(-1, k), b.transpose(order_b).reshape(k, -1))
+                       .reshape((d,) * len(free)))
         tensors[i] = tensors[j] = None
     value = complex(loop_factor)
     for arr in tensors:
@@ -375,7 +433,7 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
     if b.strands != ctx.n:
         raise ShapeError(f"braid has {b.strands} strands, context expects {ctx.n}")
     placed = _place_blocks(ctx, blocks)
-    fused = placed + _fuse(ctx, b)
+    fused = placed + _fuse(ctx, b, cyclic=not placed)
     d = ctx.op.gtype.d
     moved = _moved_factors(fused)
     sweep_peak = ctx.dim * d ** len(moved)

@@ -528,6 +528,7 @@ def test_tolerance_env_must_be_finite(capsys, monkeypatch, value):
         assert code == 2
         assert out == ""
         assert err.startswith("error: GYBLINK_TOLERANCE") and len(err.splitlines()) == 1
+        assert err.rstrip().endswith(f"got {value!r}")  # quoted as given
     # compute compares no residuals, so it never reads the variable
     code, out, err = run_cli(capsys, "compute", "--operator", "type1", "--braid", "trefoil")
     assert code == 0 and "value (raw): -8" in out and err == ""
@@ -537,12 +538,13 @@ def test_tolerance_env_must_be_finite(capsys, monkeypatch, value):
     assert payload["tolerance"] == 0.01
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc", "-5e-1"])
 def test_tolerance_flag_must_be_finite(capsys, value):
     code, out, err = run_cli(capsys, "verify", "--operator", "type1", "--tolerance", value)
     assert code == 2
     assert out == ""
     assert err.startswith("error: --tolerance") and len(err.splitlines()) == 1
+    assert err.rstrip().endswith(f"got {value!r}")  # quoted as given, as GYBLINK_TOLERANCE is
 
 
 @pytest.mark.parametrize("argv, code", [

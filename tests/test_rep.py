@@ -1,13 +1,13 @@
 import hashlib
 import math
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
 from oracles import tensordot_contract
 
-from gyblink.braids import BraidWord, juxtapose, parse_braid, random_braid
+from gyblink.braids import BraidWord, conjugate, juxtapose, parse_braid, random_braid
 from gyblink.enhancement import catalog_enhancement
 from gyblink.errors import ResourceCapError, ShapeError
 from gyblink.invariant import markov_check, trace_invariant
@@ -29,6 +29,7 @@ from gyblink.rep import (
     rep_apply,
     trace_with_weight,
 )
+from gyblink.tensorops import max_abs
 
 OPS = [build_operator(name, 0.3) for name in ("type1", "type2", "type3")] + [build_r232()]
 
@@ -80,7 +81,7 @@ def test_plan_over_the_cap_takes_the_sweep(monkeypatch):
 
     monkeypatch.setattr("gyblink.rep._greedy_plan", wide_plan)
     monkeypatch.setattr("gyblink.rep._contract", refuse)
-    word = _fuse(ctx, b)
+    word = _fuse(ctx, b, cyclic=True)
     assert trace_with_weight(ctx, b) == _sweep(ctx, word, _moved_factors(word))
 
 
@@ -260,6 +261,98 @@ def test_fused_blocks_are_exact_powers():
                 assert np.max(np.abs(block - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def test_cancelled_group_no_longer_parts_its_neighbours():
+    # sigma_2 sigma_2^-1 leaves no block, so the sigma_1 on either side of it
+    # fuse into r^2, read open or closed, with or without a weight: the word
+    # has the block of "1 1" and traces to the same bits
+    for op in (build_type1(0.3), build_r232(), CUSTOM[2]):
+        ctx = make_context(op, 3)
+        b, want = parse_braid("1 2 -2 1", 3), parse_braid("1 1", 3)
+        for cyclic in (False, True):
+            (block,) = _fuse(ctx, b, cyclic=cyclic)
+            (power,) = _fuse(ctx, want, cyclic=cyclic)
+            assert np.array_equal(block[0], power[0]) and block[1:] == power[1:]
+        mu = [(np.diag([1.0, 2.0]), 1)] * ctx.factors
+        for blocks in (None, mu):
+            assert trace_with_weight(ctx, b, blocks) == trace_with_weight(ctx, want, blocks)
+
+
+def test_closed_words_match_dense():
+    # under the identity weight a group no earlier group clashes with joins the
+    # last group on its window across the closure. Every earlier group counts,
+    # not only those open at the start themselves: counting only those would
+    # trace this type1 word to three times its value
+    ctx = make_context(OPS[0], 5)
+    b = parse_braid("3 2 -1 2 2 -2 -3 1", 5)
+    assert len(_fuse(ctx, b, cyclic=True)) < len(_fuse(ctx, b))
+    want = _dense_trace(ctx, b, None)
+    for got in (trace_with_weight(ctx, b), *_forced_traces(ctx, b, None)):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    # every cyclic rotation of 200 seeded words, a conjugate of the word
+    # with its trace; both evaluators run on each
+    rng = np.random.default_rng(71)
+    fused = 0
+    for case in range(200):
+        op = OPS[case % 4]
+        n = int(rng.integers(2, 5 if op.op_id == "r232" else 7))
+        ctx = make_context(op, n)
+        b = random_braid(n, int(rng.integers(1, 13)), rng)
+        want = _dense_trace(ctx, b, None)
+        for cut in range(len(b)):
+            c = BraidWord(n, b.letters[cut:] + b.letters[:cut])
+            fused += len(_fuse(ctx, c, cyclic=True)) < len(_fuse(ctx, c))
+            for got in (trace_with_weight(ctx, c), *_forced_traces(ctx, c, None)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (op.op_id, c)
+    assert fused >= 300
+
+
+def test_weighted_trace_is_not_fused_across_the_closure():
+    # a weight that does not commute with the operator breaks the cyclic
+    # symmetry of the word: these words' end groups, which fuse under the
+    # identity weight, stay apart, and the trace matches the dense oracle
+    rng = np.random.default_rng(73)
+    for op in OPS + [CUSTOM[2]]:
+        ctx = make_context(op, 3)
+        mu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        assert max_abs(np.kron(mu, np.kron(mu, mu)) @ op.r - op.r @ np.kron(mu, np.kron(mu, mu))) > 0.1
+        for word in ("1 2 1", "-2 1 1 -2 -2", "1 2 -1 -2 1"):
+            b = parse_braid(word, 3)
+            assert len(_fuse(ctx, b, cyclic=True)) < len(_fuse(ctx, b))
+            for blocks in ([(mu, 1)] * ctx.factors, [(mu, 1)] * (ctx.factors - 2) + [(np.kron(mu, mu), 2)]):
+                want = _dense_trace(ctx, b, blocks)
+                assert len(_traced_blocks(ctx, b, blocks)) == len(_place_blocks(ctx, blocks)) + len(_fuse(ctx, b))
+                for got in (trace_with_weight(ctx, b, blocks), *_forced_traces(ctx, b, blocks)):
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (op.op_id, word)
+
+
+def test_conjugate_fuses_back_to_the_word():
+    # read closed, w b w^-1 loses w group by group: its first group cancels
+    # against the last across the closure, which lets the next pair meet.
+    # With a conjugating word of 20,000 letters, each clashing with the next,
+    # that takes one walk: walking the word again per cancelled pair would
+    # take minutes
+    w = [2 + k % 2 for k in range(20000)]
+    for op in (OPS[0], OPS[3], CUSTOM[2]):
+        ctx = make_context(op, 4)
+        (power,) = _fuse(ctx, parse_braid("1 1", 4), cyclic=True)
+        for word in ([2, 3, 1, 1, -3, -2], w + [1, 1] + [-g for g in reversed(w)]):
+            (block,) = _fuse(ctx, BraidWord(4, tuple(word)), cyclic=True)
+            assert np.array_equal(block[0], power[0]) and block[1:] == power[1:]
+    # seeded conjugates have the blocks of their word, up to order
+    rng = np.random.default_rng(79)
+    for case in range(300):
+        op = (OPS + [CUSTOM[2]])[case % 5]
+        n = int(rng.integers(2, 8))
+        ctx = make_context(op, n)
+        b = random_braid(n, int(rng.integers(0, 16)), rng)
+        conj = conjugate(b, random_braid(n, int(rng.integers(0, 8)), rng))
+
+        def blocks(word):
+            return Counter((first, mat.tobytes()) for mat, first, _, _ in _fuse(ctx, word, cyclic=True))
+
+        assert blocks(conj) == blocks(b), (op.op_id, b, conj)
+
+
 def test_cancelled_letters_trace_to_the_same_bits():
     # sigma_1 sigma_1^-1 is exactly the identity, so on a random unitary (the
     # custom operator the CLI is checked with) a word and the word with such
@@ -273,11 +366,12 @@ def test_cancelled_letters_trace_to_the_same_bits():
 def test_sweep_arrays_hold_dim_times_moved_labels(monkeypatch):
     # a type1 word using every generator moves all but the outer factors:
     # its sweep arrays are dim x dim/4, so it fits a cap of dim^2/4 and runs
-    # there when the plan is over the cap; each fused block is applied once
+    # there when the plan is over the cap; each block of the closed word is
+    # applied once
     ctx = make_context(build_type1(0.6), 6)
     b = random_braid(6, 30, seed=5)
     assert {abs(g) for g in b.letters} == {1, 2, 3, 4, 5}
-    blocks = len(_fuse(ctx, b))
+    blocks = len(_fuse(ctx, b, cyclic=True))
     assert blocks < 30
     want = _dense_trace(ctx, b, None)
     shapes = []
@@ -427,9 +521,33 @@ def test_trace_block_validation():
         trace_with_weight(ctx, parse_braid("1", 2), None)
 
 
+def _traced_blocks(ctx, b, blocks):
+    # The block list trace_with_weight builds: the weight blocks, then the
+    # word's, fused as a closed word under the identity weight
+    placed = _place_blocks(ctx, blocks)
+    return placed + _fuse(ctx, b, cyclic=not placed)
+
+
+def test_weight_block_objects_are_checked_once_a_call(monkeypatch):
+    # a weight that repeats one block object on every factor, as
+    # trace_invariant and sampled_perpendicularity pass mu, is compared with
+    # the identity once a call, and traces to the same bits as distinct copies
+    ctx = make_context(OPS[0], 4)
+    b = random_braid(4, 10, seed=83)
+    mu = np.diag([1.0, 2.0])
+    copies = trace_with_weight(ctx, b, [(mu.copy(), 1) for _ in range(ctx.factors)])
+    checked = []
+    monkeypatch.setattr("gyblink.rep.identity", lambda dim: checked.append(dim) or np.eye(dim, dtype=np.complex128))
+    assert trace_with_weight(ctx, b, [(mu, 1)] * ctx.factors) == copies
+    assert checked == [2]
+    # an identity object on the first factors, mu on the rest: two checks
+    blocks = [(np.eye(2), 1)] * 3 + [(mu, 1)] * (ctx.factors - 3)
+    assert len(_place_blocks(ctx, blocks)) == ctx.factors - 3 and checked == [2] * 3
+
+
 def _forced_traces(ctx, b, blocks):
     # Both evaluators on the same word, bypassing the cost-based choice.
-    fused = _place_blocks(ctx, blocks) + _fuse(ctx, b)
+    fused = _traced_blocks(ctx, b, blocks)
     network = _network(ctx, fused)
     steps, _, _ = _greedy_plan(network[1], ctx.op.gtype.d)
     return _sweep(ctx, fused, _moved_factors(fused)), _contract(network, steps)
@@ -472,7 +590,7 @@ def test_plan_at_the_cap_stays_on_the_network(monkeypatch):
     # exactly PEAK_CAP: the plan runs, not the ten times slower sweep
     ctx = make_context(build_r232(), 6)
     b = random_braid(6, 77, seed=1)
-    assert _greedy_plan(_network(ctx, _fuse(ctx, b))[1], 2)[2] == PEAK_CAP
+    assert _greedy_plan(_network(ctx, _fuse(ctx, b, cyclic=True))[1], 2)[2] == PEAK_CAP
 
     def refuse(*args):
         raise AssertionError("the column sweep ran")
@@ -487,7 +605,7 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
     # more multiply-adds than the column sweep over them, so the sweep must run
     ctx = make_context(build_r232(), 4)
     b = random_braid(4, 40, seed=56)
-    word = _fuse(ctx, b)
+    word = _fuse(ctx, b, cyclic=True)
     sweep_cost = ctx.dim**2 * (1 + len(word) * ctx.op.gtype.dim)
     _, flops, _ = _greedy_plan(_network(ctx, word)[1], 2)
     assert len(word) < len(b) and sweep_cost >= SWEEP_GATE and flops >= sweep_cost
@@ -528,11 +646,11 @@ def _recording_contract(monkeypatch):
 def test_allow_large_runs_the_array_the_refusal_names(monkeypatch):
     # a type1 word none of whose evaluators fits: the sweep holds 2^32
     # elements with 2^42.5 multiply-adds, the fused plan peaks at 2^30 with
-    # 2^43.1. The refusal names 2^30, and allow_large runs that fused plan, not
+    # 2^44.0. The refusal names 2^30, and allow_large runs that fused plan, not
     # the cheaper sweep; both evaluators are stubbed, so nothing large runs
     ctx = make_context(build_type1(0.4), 16)
-    b = random_braid(16, 320, seed=21)
-    word = _fuse(ctx, b)
+    b = random_braid(16, 320, seed=52)
+    word = _fuse(ctx, b, cyclic=True)
     assert ctx.dim * 2 ** len(_moved_factors(word)) == 2**32
     assert _greedy_plan(_network(ctx, word)[1], 2)[2] == 2**30
     seen = []
@@ -545,12 +663,12 @@ def test_allow_large_runs_the_array_the_refusal_names(monkeypatch):
 
 
 def test_allow_large_keeps_the_path_of_a_word_that_fits(monkeypatch):
-    # under a cap of 1024 neither the sweep nor the 15-block fused network of
+    # under a cap of 1024 neither the sweep nor the 14-block fused network of
     # this word fits, but its 21-letter network does. allow_large only
     # replaces a refusal, so it runs that same network, not the fused one
     ctx = make_context(build_type1(0.3), 6)
-    b = random_braid(6, 21, seed=223)
-    assert len(_fuse(ctx, b)) == 15
+    b = random_braid(6, 21, seed=891)
+    assert len(_fuse(ctx, b, cyclic=True)) == 14
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", 1024)
     seen = _recording_contract(monkeypatch)
     capped = trace_with_weight(ctx, b)
@@ -589,8 +707,8 @@ def test_fused_plan_over_the_cap_falls_back_to_the_letter_network(monkeypatch):
     # elements over its fused blocks but at 2^20 over one tensor per letter:
     # the letter network runs, as it did before words were fused
     ctx = make_context(build_r232(), 8)
-    b = random_braid(8, 138, seed=26)
-    word = _fuse(ctx, b)
+    b = random_braid(8, 138, seed=1457)
+    word = _fuse(ctx, b, cyclic=True)
     assert ctx.dim * 2 ** len(_moved_factors(word)) > PEAK_CAP
     assert _greedy_plan(_network(ctx, word)[1], 2)[2] == 2**24
     network = _network(ctx, _letters(ctx, b))
@@ -637,15 +755,17 @@ def test_greedy_plans_are_pinned():
     # the plan fixes the floating-point order of every network trace, so any
     # change to it moves values; plans are integers, so the digest is the
     # same on every platform. The unfused networks, one tensor per letter,
-    # pin the planner itself; the fused ones pin the networks traces run
+    # pin the planner itself; the fused ones pin the networks traces run,
+    # the word read open (weighted traces) and closed (the identity weight)
     digests = {}
-    for blocks_of in (_letters, _fuse):
+    for name, blocks_of in (("_letters", _letters), ("_fuse", _fuse), ("cyclic _fuse", partial(_fuse, cyclic=True))):
         plans = [_greedy_plan(network[1], ctx.op.gtype.d) for ctx, network in _seeded_networks(300, 41, blocks_of)]
         assert sum(len(steps) for steps, _, _ in plans) > 3000
-        digests[blocks_of.__name__] = hashlib.sha256(repr(plans).encode()).hexdigest()
+        digests[name] = hashlib.sha256(repr(plans).encode()).hexdigest()
     assert digests == {
         "_letters": "cd5f2010c4e1e81ac86411a47ae56ff49e377bd1cab8b369fe3a726c7aa0f0f3",
-        "_fuse": "72fccd9dca9676f6e8ac46555394011afa383a65a62a134661ad696862c998a9",
+        "_fuse": "3dfa99b35ac1f780bb29595c577b3ab4b32754ffb0795e28a9e96ae9fc0936d8",
+        "cyclic _fuse": "065d6d6d74537bae61381984e3363388f6742afe0a85bc76608d8813d5aa72b5",
     }
 
 
@@ -684,7 +804,7 @@ def test_lone_blocks_match_dense(monkeypatch):
             half = random_braid(n // 2, 3, rng), random_braid(n - n // 2, 3, rng)
             for b in (BraidWord(n, (int(rng.integers(1, n)),)), BraidWord(n, (-1,)), juxtapose(*half)):
                 for blocks in (None, [(mu, 1)] * ctx.factors):
-                    network = _network(ctx, _place_blocks(ctx, blocks) + _fuse(ctx, b))
+                    network = _network(ctx, _traced_blocks(ctx, b, blocks))
                     traced += _traced_wires(ctx, network) > 0
                     want = _dense_trace(ctx, b, blocks)
                     assert abs(trace_with_weight(ctx, b, blocks) - want) <= 1e-12 * max(1.0, abs(want)), (op, b)

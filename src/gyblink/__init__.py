@@ -73,7 +73,7 @@ from .operators import (
     verify_gybe,
     write_operator_file,
 )
-from .rep import PEAK_CAP, RepContext, dense_representation, make_context, rep_apply, trace_with_weight
+from .rep import PEAK_CAP, RepContext, dense_representation, make_context, rep_apply, trace_with_weight, traces
 from .tensorops import (
     DEFAULT_TOL,
     TensorShape,

@@ -144,7 +144,7 @@ def sampled_perpendicularity(s: Enhancement, n: int, seed: int = 0) -> float:
     ]
     rng = np.random.default_rng(seed)
     words = [random_braid(n, int(rng.integers(1, 13)), rng) for _ in range(100)]
-    return max_abs([abs(rep.trace_with_weight(ctx, b, blocks)) for b in words for blocks in pads])
+    return max_abs([abs(tr) for blocks in pads for tr in rep.traces(ctx, words, blocks)])
 
 
 def enhancement_report(s: Enhancement, tol: float = DEFAULT_TOL, seed: int = 0) -> EnhancementReport:

@@ -23,7 +23,7 @@ from .braids import BraidWord, compose, conjugate, juxtapose, random_braid, stab
 from .enhancement import Enhancement, catalog_enhancement
 from .errors import GybError, ShapeError
 from .operators import CATALOG
-from .rep import make_context, trace_with_weight
+from .rep import make_context, trace_with_weight, traces
 from .tensorops import max_abs
 
 
@@ -58,6 +58,16 @@ def _finite(value: complex) -> complex:
     return value
 
 
+def _weight(s: Enhancement, ctx) -> list | None:
+    # the weight blocks of mu on every factor, None for the identity
+    return None if s.mu_is_identity else [(s.mu, 1)] * ctx.factors
+
+
+def _value(s: Enhancement, b: BraidWord, w: int, tr: complex) -> complex:
+    # the raw invariant of b, of writhe w, from its weighted trace
+    return _finite(_power(s.alpha, -w, "alpha") * _power(s.beta, -b.strands, "beta") * complex(tr))
+
+
 def trace_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> InvariantResult:
     """Evaluate the raw invariant of the closure of ``b``.
 
@@ -66,11 +76,21 @@ def trace_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> 
     ResourceCapError raised past it and what ``allow_large`` runs instead.
     """
     ctx = make_context(s.op, b.strands)
-    blocks = None if s.mu_is_identity else [(s.mu, 1)] * ctx.factors
-    tr = trace_with_weight(ctx, b, blocks, allow_large)
+    tr = trace_with_weight(ctx, b, _weight(s, ctx), allow_large)
     w = writhe(b)
-    value = _power(s.alpha, -w, "alpha") * _power(s.beta, -b.strands, "beta") * complex(tr)
-    return InvariantResult(_finite(value), s.op.op_id, s.op.theta, b, w, "raw")
+    return InvariantResult(_value(s, b, w, tr), s.op.op_id, s.op.theta, b, w, "raw")
+
+
+def _invariant_values(s: Enhancement, words) -> list[complex]:
+    # The raw invariant of each word, all on one strand count, from one call
+    # of rep.traces. If that call raises, the words are taken one at a time,
+    # so the error is the one evaluating them in turn raises first.
+    ctx = make_context(s.op, words[0].strands)
+    try:
+        trs = traces(ctx, words, _weight(s, ctx))
+    except GybError:
+        return [trace_invariant(s, b).value for b in words]
+    return [_value(s, b, writhe(b), tr) for b, tr in zip(words, trs)]
 
 
 def normalized_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> InvariantResult:
@@ -109,9 +129,7 @@ def skein_check(s: Enhancement, b: BraidWord, x: complex = 1.0, y: complex = 1.0
     """
     if b.strands < 2:
         raise ShapeError("a crossing triple needs at least 2 strands")
-    tp = trace_invariant(s, _with_front_letter(b, 1)).value
-    tm = trace_invariant(s, _with_front_letter(b, -1)).value
-    t0 = trace_invariant(s, b).value
+    tp, tm, t0 = _invariant_values(s, [_with_front_letter(b, 1), _with_front_letter(b, -1), b])
     return abs(x * tp + tm / x - y * t0)
 
 
@@ -123,10 +141,8 @@ def quartic_check_type2(s: Enhancement, b: BraidWord) -> float:
         raise GybError(f"the four-term crossing relation is specific to type2, got {s.op.op_id!r}")
     if b.strands < 2:
         raise ShapeError("the crossing relation needs at least 2 strands")
-    t2 = trace_invariant(s, _with_front_letter(_with_front_letter(b, 1), 1)).value
-    t1 = trace_invariant(s, _with_front_letter(b, 1)).value
-    t0 = trace_invariant(s, b).value
-    tm = trace_invariant(s, _with_front_letter(b, -1)).value
+    plus = _with_front_letter(b, 1)
+    t2, t1, t0, tm = _invariant_values(s, [_with_front_letter(plus, 1), plus, b, _with_front_letter(b, -1)])
     return abs(t2 - t1 + t0 - tm)
 
 
@@ -137,11 +153,12 @@ def markov_check(s: Enhancement, b: BraidWord, trials: int = 10, seed: int = 0) 
     stabilizations; returns the largest absolute difference from the base
     value, NaN if any difference is NaN.
     """
-    base = trace_invariant(s, b).value
     rng = np.random.default_rng(seed)
-    moved = [conjugate(b, random_braid(b.strands, int(rng.integers(0, 7)), rng)) for _ in range(trials)]
-    moved += [stabilize(b, sign) for sign in (1, -1)]
-    return max_abs([abs(trace_invariant(s, c).value - base) for c in moved])
+    conjugates = [conjugate(b, random_braid(b.strands, int(rng.integers(0, 7)), rng)) for _ in range(trials)]
+    # the conjugates share the base's strand count, the stabilizations one more
+    base, *moved = _invariant_values(s, [b, *conjugates])
+    moved += _invariant_values(s, [stabilize(b, sign) for sign in (1, -1)])
+    return max_abs([abs(value - base) for value in moved])
 
 
 def multiplicativity_check(s: Enhancement, b1: BraidWord, b2: BraidWord) -> float:

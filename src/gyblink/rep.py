@@ -43,15 +43,25 @@ chosen per call from the list and the context alone:
   Its cost follows the plan's largest intermediates, not ``dim^2``, so it
   reaches words on dozens of strands.
 
-``trace_with_weight`` alone decides size: of the sweep, the fused network
-and, when neither fits, the network of one tensor per letter, the one with
-the fewest multiply-adds whose largest single array fits ``PEAK_CAP`` runs.
-When none fits it raises ResourceCapError naming the smallest largest array
-among them, or with ``allow_large`` runs that evaluator anyway, so that
-option never changes the path of a word that fits.
-The cap bounds one array, not the sum of those alive together, so the
-sweep's peak memory can reach twice the cap. A strand count whose dimension
+``traces`` alone decides size, word by word: of the sweep, the fused
+network and, when neither fits, the network of one tensor per letter, the
+one with the fewest multiply-adds whose largest single array fits
+``PEAK_CAP`` runs. When none fits it raises ResourceCapError naming the
+smallest largest array among them, or with ``allow_large`` runs that
+evaluator anyway, so that option never changes the path of a word that
+fits. The cap bounds one array, not the sum of those alive together, so the
+sweep's peak memory can reach twice the cap, plus one array per branch a
+family of sweep words keeps waiting. A strand count whose dimension
 overflows a float is refused whatever ``allow_large`` says.
+
+``traces`` takes the words of one relation check (a word and its
+conjugates, two stabilizations, a crossing triple) on one context under one
+weight, and does what they share once, exactly: words whose fused block
+lists match block for block are evaluated once; the sweep runs the lists
+that move the same factors as a prefix tree, applying each shared leading
+block once; network-path words with one block layout share one plan. Every
+word still meets the same operations on the same data in the same order,
+so each value is the bits ``trace_with_weight``, its one-word case, gives.
 
 Both are deterministic: the sweep is one fixed sequence of array
 operations and the plan breaks cost ties on tensor ids, so one word
@@ -256,9 +266,16 @@ def _moved_factors(blocks) -> set[int]:
     return {first - 1 + j for _, first, _, offsets in blocks for j in offsets}
 
 
-def _sweep(ctx: RepContext, blocks, moved) -> complex:
-    # One column per label of the moved factors, summing the basis vectors with
+def _sweep(ctx: RepContext, lists, moved) -> list[complex]:
+    # The trace of each block list, all of which move the factors ``moved``.
+    # One column per label of those factors, summing the basis vectors with
     # those labels; diag: each row's flat position in its moved labels' column.
+    # The lists run as a prefix tree: a group of lists that agree on their
+    # blocks before ``depth`` (by object and position) shares one state, and
+    # splits by the block at ``depth``. All branches but one wait on the
+    # pending stack with the shared state, which is dropped once the last of
+    # them starts, so no more states are alive than the lists left to trace.
+    # A group of one list runs the rest of its blocks with no bookkeeping.
     d = ctx.op.gtype.d
     cols = d ** len(moved)
     if len(moved) == ctx.factors:
@@ -268,8 +285,34 @@ def _sweep(ctx: RepContext, blocks, moved) -> complex:
         diag = (np.arange(0, ctx.dim * cols, cols).reshape((d,) * ctx.factors) + label).reshape(-1)
     state = np.zeros((ctx.dim, cols), dtype=np.complex128)
     state.put(diag, 1)
-    for mat, pos, _, _ in blocks:
-        state = _apply_block(mat, pos, state, d)
+    values = [None] * len(lists)
+    pending = []  # (shared state, its depth, the lists of one branch from it)
+    depth, group = 0, range(len(lists))
+    while True:
+        while len(group) > 1:
+            branches = {}
+            for n in group:
+                blocks = lists[n]
+                if len(blocks) == depth:
+                    values[n] = _closed(state, diag)
+                else:
+                    branches.setdefault((id(blocks[depth][0]), blocks[depth][1]), []).append(n)
+            *waiting, group = branches.values() or [()]
+            pending += [(state, depth, rest) for rest in waiting]
+            if group:
+                mat, pos, _, _ = lists[group[0]][depth]
+                state = _apply_block(mat, pos, state, d)
+                depth += 1
+        for n in group:
+            for mat, pos, _, _ in lists[n][depth:]:
+                state = _apply_block(mat, pos, state, d)
+            values[n] = _closed(state, diag)
+        if not pending:
+            return values
+        state, depth, group = pending.pop()
+
+
+def _closed(state: np.ndarray, diag: np.ndarray) -> complex:
     # adding to +0 turns a -0.0 trace into 0.0, as values have always read
     return complex(0.0 + 0.0j + state.take(diag).sum())
 
@@ -405,10 +448,95 @@ def _contract(network, steps) -> complex:
     return value
 
 
-def _planned(ctx: RepContext, blocks):
+def _planned(ctx: RepContext, blocks, plans=None):
+    # (multiply-adds, largest array, evaluation) of the greedy network over
+    # blocks. The plan reads only the legs, which the positions and spans of
+    # the blocks fix: plans, when given, keeps one plan per such layout.
     network = _network(ctx, blocks)
-    steps, flops, peak = _greedy_plan(network[1], ctx.op.gtype.d)
+    if plans is None:
+        plan = _greedy_plan(network[1], ctx.op.gtype.d)
+    else:
+        layout = tuple((pos, span) for _, pos, span, _ in blocks)
+        plan = plans.get(layout)
+        if plan is None:
+            plan = plans[layout] = _greedy_plan(network[1], ctx.op.gtype.d)
+    steps, flops, peak = plan
     return flops, peak, partial(_contract, network, steps)
+
+
+def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> list[complex]:
+    """Weighted traces of several braids on one context under one weight.
+
+    Each value is ``trace_with_weight(ctx, b, blocks, allow_large)`` of its
+    word, to the bit: every word takes the evaluator it takes alone, with
+    the same operations on the same data in the same order. Words are
+    checked, and refused with the ResourceCapError they raise alone, in
+    order. What the words share is done once:
+
+    * words whose fused block lists match block for block (by matrix object
+      and position) are evaluated once;
+    * the sweep runs the lists that move the same factors as one prefix
+      tree, applying each shared leading block once;
+    * network-path words with the same block positions and spans share one
+      greedy plan, which depends only on the legs.
+
+    A single word skips this bookkeeping.
+    """
+    for b in words:
+        if b.strands != ctx.n:
+            raise ShapeError(f"braid has {b.strands} strands, context expects {ctx.n}")
+    placed = _place_blocks(ctx, blocks)
+    d = ctx.op.gtype.d
+    family = len(words) > 1
+    values = [None] * len(words)
+    same = {}  # per fused list, the position of the word evaluated and those of its repeats
+    sweeps = {}  # per moved factors: those factors, the lists the sweep runs and their positions
+    plans = {} if family else None
+    for n, b in enumerate(words):
+        fused = placed + _fuse(ctx, b, cyclic=not placed)
+        if family:
+            key = tuple((id(mat), pos) for mat, pos, _, _ in fused)
+            if key in same:
+                same[key].append(n)
+                continue
+        shared = family
+        moved = _moved_factors(fused)
+        sweep_peak = ctx.dim * d ** len(moved)
+        sweep_cost = sweep_peak * (1 + sum(d**span for _, _, span, _ in fused))
+        evaluate = None  # the sweep
+        if sweep_cost >= SWEEP_GATE or sweep_peak > PEAK_CAP:
+            # (multiply-adds, largest array, evaluation), ties to the first. The letter network
+            # can plan a lower peak than the fused one; planning it for every word costs too much
+            candidates = [(sweep_cost, sweep_peak, None), _planned(ctx, fused, plans)]
+            if all(peak > PEAK_CAP for _, peak, _ in candidates):
+                # the letters are this word's own: a later word that fuses alike plans its own
+                candidates.append(_planned(ctx, placed + _letters(ctx, b), plans))
+                shared = False
+            # under the cap the fewest multiply-adds; over it the smallest largest array
+            _, peak, evaluate = min(candidates, key=lambda c: (max(c[1], PEAK_CAP), c[0]))
+            if peak > PEAK_CAP and not allow_large:
+                raise ResourceCapError(
+                    f"a {len(b)}-letter word on {ctx.n} strands needs an array of about "
+                    f"2^{peak.bit_length() - 1} elements, over the cap of "
+                    f"2^{PEAK_CAP.bit_length() - 1}; pass allow_large=True (CLI: --allow-large) to override"
+                )
+        if shared:
+            same[key] = [n]
+        if evaluate is not None:
+            values[n] = evaluate()
+        elif family:
+            _, lists, positions = sweeps.setdefault(frozenset(moved), (moved, [], []))
+            lists.append(fused)
+            positions.append(n)
+        else:
+            values[n] = _sweep(ctx, [fused], moved)[0]
+    for moved, lists, positions in sweeps.values():
+        for n, value in zip(positions, _sweep(ctx, lists, moved)):
+            values[n] = value
+    for n, *repeats in same.values():
+        for m in repeats:
+            values[m] = values[n]
+    return values
 
 
 def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: bool = False) -> complex:
@@ -429,28 +557,6 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
 
     Returns:
         ``tr(rho(b) . W)`` where ``W`` is the Kronecker product of the blocks.
+        It is the one-word case of ``traces``.
     """
-    if b.strands != ctx.n:
-        raise ShapeError(f"braid has {b.strands} strands, context expects {ctx.n}")
-    placed = _place_blocks(ctx, blocks)
-    fused = placed + _fuse(ctx, b, cyclic=not placed)
-    d = ctx.op.gtype.d
-    moved = _moved_factors(fused)
-    sweep_peak = ctx.dim * d ** len(moved)
-    sweep_cost = sweep_peak * (1 + sum(d**span for _, _, span, _ in fused))
-    if sweep_cost < SWEEP_GATE and sweep_peak <= PEAK_CAP:
-        return _sweep(ctx, fused, moved)
-    # (multiply-adds, largest array, evaluation), ties to the first. The letter network
-    # can plan a lower peak than the fused one; planning it for every word costs too much
-    candidates = [(sweep_cost, sweep_peak, partial(_sweep, ctx, fused, moved)), _planned(ctx, fused)]
-    if all(peak > PEAK_CAP for _, peak, _ in candidates):
-        candidates.append(_planned(ctx, placed + _letters(ctx, b)))
-    # under the cap the fewest multiply-adds; over it the smallest largest array
-    _, peak, evaluate = min(candidates, key=lambda c: (max(c[1], PEAK_CAP), c[0]))
-    if peak > PEAK_CAP and not allow_large:
-        raise ResourceCapError(
-            f"a {len(b)}-letter word on {ctx.n} strands needs an array of about "
-            f"2^{peak.bit_length() - 1} elements, over the cap of "
-            f"2^{PEAK_CAP.bit_length() - 1}; pass allow_large=True (CLI: --allow-large) to override"
-        )
-    return evaluate()
+    return traces(ctx, [b], blocks, allow_large)[0]

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from gyblink.braids import BraidWord, LINKS, juxtapose, parse_braid, random_braid
+from gyblink.braids import BraidWord, LINKS, compose, conjugate, juxtapose, parse_braid, random_braid, stabilize
 from gyblink.enhancement import catalog_enhancement, make_enhancement
 from gyblink.errors import GybError, ResourceCapError, ShapeError
 from gyblink.invariant import (
+    _invariant_values,
     cross_operator_check,
     markov_check,
     multiplicative_invariant,
@@ -14,7 +15,8 @@ from gyblink.invariant import (
     skein_check,
     trace_invariant,
 )
-from gyblink.operators import CATALOG, GybType, load_custom
+from gyblink.operators import CATALOG, GybType, build_type1, load_custom
+from gyblink.tensorops import max_abs
 
 SQ2 = np.sqrt(2.0)
 
@@ -219,3 +221,47 @@ def test_result_fields():
     assert r.braid is FIGURE8
     assert r.writhe == 0
     assert r.normalization == "raw"
+
+
+@pytest.mark.parametrize("name", ["type1", "type2", "type3", "r232"])
+def test_relation_checks_match_each_word_alone(name):
+    # each check traces its words in one call; its residual equals, to the
+    # bit, the one built here from trace_invariant of each word alone, on
+    # 200 seeded words per operator, from 1 to 6 strands (r232: 5)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    enhancements = [catalog_enhancement(name, theta) for theta in (0.0, 0.7, 2.1)]
+
+    def value(s, b, *front):
+        return trace_invariant(s, compose(BraidWord(b.strands, front), b)).value
+
+    for case in range(200):
+        s = enhancements[case % 3]
+        n = int(rng.integers(1, 6 if name == "r232" else 7))
+        b = random_braid(n, int(rng.integers(0, 15)), rng)
+        trials, seed = int(rng.integers(1, 5)), int(rng.integers(0, 1000))
+        moves = np.random.default_rng(seed)
+        moved = [conjugate(b, random_braid(n, int(moves.integers(0, 7)), moves)) for _ in range(trials)]
+        moved += [stabilize(b, sign) for sign in (1, -1)]
+        base = value(s, b)
+        assert markov_check(s, b, trials, seed) == max_abs([abs(value(s, c) - base) for c in moved])
+        if n < 2:
+            continue
+        if name == "type2":
+            want = abs(value(s, b, 1, 1) - value(s, b, 1) + base - value(s, b, -1))
+            assert quartic_check_type2(s, b) == want
+        else:
+            y = CATALOG[name].skein_y
+            assert skein_check(s, b, 1.0, y) == abs(value(s, b, 1) + value(s, b, -1) / 1.0 - y * base)
+
+
+def test_a_family_raises_the_error_its_words_raise_in_turn(monkeypatch):
+    # under a cap of 2^10 on 6 strands the 36-letter word is refused, while
+    # sigma_1^8 evaluates and then fails on alpha^-8 for alpha = 1e-40. The
+    # error is the one the words raise taken one at a time, whichever comes first
+    monkeypatch.setattr("gyblink.rep.PEAK_CAP", 1024)
+    s = make_enhancement(build_type1(0.3), None, 1e-40, 1.0)
+    power, refused = BraidWord(6, (1,) * 8), random_braid(6, 36, seed=0)
+    with pytest.raises(GybError, match=r"alpha\^-8 is not a finite number"):
+        _invariant_values(s, [power, refused])
+    with pytest.raises(ResourceCapError):
+        _invariant_values(s, [refused, power])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 from collections import Counter
 from functools import partial, reduce
 
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 from oracles import tensordot_contract
 
-from gyblink.braids import BraidWord, conjugate, juxtapose, parse_braid, random_braid
+from gyblink.braids import BraidWord, conjugate, juxtapose, parse_braid, random_braid, stabilize
 from gyblink.enhancement import catalog_enhancement
 from gyblink.errors import ResourceCapError, ShapeError
 from gyblink.invariant import markov_check, trace_invariant
 from gyblink.operators import GybType, build_operator, build_r232, build_type1, check_outer_diagonal, load_custom
+from gyblink import rep
 from gyblink.rep import (
     PEAK_CAP,
     SWEEP_GATE,
@@ -28,6 +30,7 @@ from gyblink.rep import (
     make_context,
     rep_apply,
     trace_with_weight,
+    traces,
 )
 from gyblink.tensorops import max_abs
 
@@ -82,7 +85,7 @@ def test_plan_over_the_cap_takes_the_sweep(monkeypatch):
     monkeypatch.setattr("gyblink.rep._greedy_plan", wide_plan)
     monkeypatch.setattr("gyblink.rep._contract", refuse)
     word = _fuse(ctx, b, cyclic=True)
-    assert trace_with_weight(ctx, b) == _sweep(ctx, word, _moved_factors(word))
+    assert trace_with_weight(ctx, b) == _sweep(ctx, [word], _moved_factors(word))[0]
 
 
 def test_words_under_the_gate_plan_no_network(monkeypatch):
@@ -410,7 +413,7 @@ def test_sweep_that_moves_every_factor_keeps_the_trace_order():
         state = np.eye(ctx.dim, dtype=np.complex128)
         for mat, first, _, _ in word:
             state = _apply_block(mat, first, state, 2)
-        assert _sweep(ctx, word, _moved_factors(word)) == complex(0.0 + 0.0j + np.trace(state))
+        assert _sweep(ctx, [word], _moved_factors(word))[0] == complex(0.0 + 0.0j + np.trace(state))
 
 
 def test_rep_apply_identity_and_cancellation():
@@ -550,7 +553,7 @@ def _forced_traces(ctx, b, blocks):
     fused = _traced_blocks(ctx, b, blocks)
     network = _network(ctx, fused)
     steps, _, _ = _greedy_plan(network[1], ctx.op.gtype.d)
-    return _sweep(ctx, fused, _moved_factors(fused)), _contract(network, steps)
+    return _sweep(ctx, [fused], _moved_factors(fused))[0], _contract(network, steps)
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.op_id)
@@ -574,7 +577,7 @@ def test_network_path_is_deterministic(monkeypatch):
     ctx = make_context(build_type1(0.6), 9)
     b = random_braid(9, 30, seed=23)
     word = _fuse(ctx, b)
-    swept = _sweep(ctx, word, _moved_factors(word))
+    swept = _sweep(ctx, [word], _moved_factors(word))[0]
 
     def refuse(*args):
         raise AssertionError("the column sweep ran")
@@ -614,7 +617,7 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
         raise AssertionError("the network path ran")
 
     monkeypatch.setattr("gyblink.rep._contract", refuse)
-    want = _sweep(ctx, word, _moved_factors(word))
+    want = _sweep(ctx, [word], _moved_factors(word))[0]
     assert trace_with_weight(ctx, b) == want
     # with nothing under the cap, allow_large runs the smallest largest array:
     # the letter network ties the sweep at 16,384 elements and needs fewer
@@ -828,3 +831,140 @@ def test_contract_matches_tensordot_exactly():
         steps, _, _ = _greedy_plan(network[1], ctx.op.gtype.d)
         assert _contract(network, steps) == tensordot_contract(network, steps)
     assert traced >= 3
+
+
+def _counting(monkeypatch, *names):
+    # route the named rep functions through wrappers; the Counter returned
+    # counts their calls, and _sweep's by the block lists it runs
+    calls = Counter()
+    for name in names:
+        def counted(*args, name=name, fn=getattr(rep, name)):
+            calls[name] += len(args[1]) if name == "_sweep" else 1
+            return fn(*args)
+
+        monkeypatch.setattr(f"gyblink.rep.{name}", counted)
+    return calls
+
+
+def _keys(ctx, b):
+    # the fused blocks of the closed word by matrix object and first factor
+    return [(id(mat), first) for mat, first, _, _ in _fuse(ctx, b, cyclic=True)]
+
+
+def test_traces_match_each_word_alone(monkeypatch):
+    # one call gives each word's trace_with_weight to the bit. On 8 strands:
+    # a long type1 word, three conjugates, two of which fuse to its blocks in
+    # the same order, its mirror
+    # image (the same block layout), another long word, a short word on the
+    # sweep and repeats. Under the identity weight those two conjugates and
+    # the repeats are evaluated once and the mirror image shares the word's
+    # plan. A weight reads every word open and moves every factor: all take
+    # the network, only the repeats coincide, and the mirror image still
+    # shares the plan
+    ctx = make_context(build_type1(0.3), 8)
+    rng = np.random.default_rng(5)
+    b, short = random_braid(8, 40, rng), random_braid(8, 4, rng)
+    conjugates = [conjugate(b, random_braid(8, k, rng)) for k in (1, 3, 5)]
+    mirror = BraidWord(8, tuple(-g for g in b.letters))
+    words = [b, short, *conjugates, short, mirror, random_braid(8, 30, rng), b]
+    assert [_keys(ctx, c) == _keys(ctx, b) for c in conjugates] == [True, True, False]
+    weight = [(np.diag([1.0, 1.5]), 1)] * ctx.factors
+    for blocks, plans, contracts, swept in ((None, 3, 4, 1), (weight, 6, 7, 0)):
+        alone = [trace_with_weight(ctx, w, blocks) for w in words]
+        calls = _counting(monkeypatch, "_greedy_plan", "_contract", "_sweep")
+        assert traces(ctx, words, blocks) == alone
+        assert calls == Counter(_greedy_plan=plans, _contract=contracts, _sweep=swept)
+        monkeypatch.undo()
+    # a weighted family that mixes both paths, and a stabilization pair,
+    # which differs only in its last block: one plan on the network path
+    rng = np.random.default_rng(6)
+    for op in OPS:
+        ctx = make_context(op, 4)
+        mu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        words = [random_braid(4, length, rng) for length in (0, 3, 8, 8, 30, 40)]
+        words += [words[2], words[4]]
+        for blocks in (None, [(mu, 1)] * ctx.factors):
+            assert traces(ctx, words, blocks) == [trace_with_weight(ctx, w, blocks) for w in words]
+    ctx = make_context(build_type1(0.3), 9)
+    pair = [stabilize(b, sign) for sign in (1, -1)]
+    alone = [trace_with_weight(ctx, w) for w in pair]
+    calls = _counting(monkeypatch, "_greedy_plan", "_contract")
+    assert traces(ctx, pair) == alone
+    assert calls == Counter(_greedy_plan=1, _contract=2)
+
+
+def test_sweep_runs_shared_leading_blocks_once(monkeypatch):
+    # the two stabilizations of a word fuse to its blocks and one more,
+    # r or r^-1 on the new strand: the sweep applies the shared blocks once
+    ctx = make_context(OPS[1], 5)
+    b = random_braid(4, 12, seed=31)
+    pair = [stabilize(b, sign) for sign in (1, -1)]
+    first, second = (_keys(ctx, w) for w in pair)
+    assert first[:-1] == second[:-1] == _keys(ctx, BraidWord(5, b.letters)) and first[-1] != second[-1]
+    alone = [trace_with_weight(ctx, w) for w in pair]
+    calls = _counting(monkeypatch, "_apply_block", "_sweep")
+    assert traces(ctx, pair) == alone
+    assert calls == Counter(_apply_block=len(first) + 1, _sweep=2)
+
+
+def test_refusals_in_a_family_come_in_word_order(monkeypatch):
+    # under a cap of 2^10 on 6 strands: words that fit, a 21-letter word that
+    # fits only through its letter network, its conjugate (the same fused
+    # blocks, its own letters and value) and words refused at 2^12. The call
+    # raises the refusal of the first refused word, word for word as it
+    # raises alone, and allow_large still only replaces refusals
+    monkeypatch.setattr("gyblink.rep.PEAK_CAP", 1024)
+    ctx = make_context(build_type1(0.3), 6)
+    b = random_braid(6, 21, seed=891)
+    conj = conjugate(b, random_braid(6, 2, seed=3))
+    assert _keys(ctx, conj) == _keys(ctx, b)
+    fits = [random_braid(6, 10, seed=0), b, conj, random_braid(6, 3, seed=1)]
+    refused = [random_braid(6, 36, seed=0), random_braid(6, 30, seed=1)]
+    values = traces(ctx, fits)
+    assert values == [trace_with_weight(ctx, w) for w in fits] and values[1] != values[2]
+    for w in refused:
+        with pytest.raises(ResourceCapError):
+            trace_with_weight(ctx, w)
+    for words in (fits[:2] + refused + fits[2:], refused[::-1] + fits):
+        with pytest.raises(ResourceCapError) as alone:
+            trace_with_weight(ctx, words[[w in refused for w in words].index(True)])
+        with pytest.raises(ResourceCapError) as family:
+            traces(ctx, words)
+        assert str(family.value) == str(alone.value)
+        large = traces(ctx, words, allow_large=True)
+        assert large == [trace_with_weight(ctx, w, allow_large=True) for w in words]
+        assert [v for v, w in zip(large, words) if w in fits] == [trace_with_weight(ctx, w) for w in fits]
+    with pytest.raises(ShapeError):
+        traces(ctx, fits + [random_braid(5, 3, seed=0)])
+    assert traces(ctx, []) == []
+
+
+def test_sweep_keeps_no_more_states_than_words(monkeypatch):
+    # the states _apply_block returns, followed through weak references: at
+    # each call no more are alive than the call has words, though a family
+    # that branches keeps several alive at once
+    rng = np.random.default_rng(41)
+    states, peak = [], 0
+
+    def tracked(mat, start, state, d):
+        nonlocal peak
+        peak = max(peak, sum(ref() is not None for ref in states))
+        out = _apply_block(mat, start, state, d)
+        states.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr("gyblink.rep._apply_block", tracked)
+    most = 0
+    for case in range(40):
+        op = OPS[case % 4]
+        ctx = make_context(op, 4)
+        b = random_braid(4, int(rng.integers(4, 13)), rng)
+        words = [b] + [conjugate(b, random_braid(4, int(rng.integers(1, 4)), rng)) for _ in range(3)]
+        words += [BraidWord(4, b.letters + (g,)) for g in (1, -1, 2, 3)]
+        for blocks in (None, [(np.diag([1.0, 1.5]), 1)] * ctx.factors):
+            states.clear()
+            peak = 0
+            traces(ctx, words, blocks)
+            assert peak <= len(words)
+            most = max(most, peak)
+    assert most >= 3

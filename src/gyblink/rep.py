@@ -54,6 +54,10 @@ sweep's peak memory can reach twice the cap, plus one array per branch a
 family of sweep words keeps waiting. A strand count whose dimension
 overflows a float is refused whatever ``allow_large`` says.
 
+Both are deterministic: the sweep is one fixed sequence of array
+operations and the plan breaks cost ties on tensor ids, so one word
+always takes the same path with the same floating-point order.
+
 ``traces`` takes the words of one relation check (a word and its
 conjugates, two stabilizations, a crossing triple) on one context under one
 weight, and does what they share once, exactly: words whose fused block
@@ -62,10 +66,6 @@ that move the same factors as a prefix tree, applying each shared leading
 block once; network-path words with one block layout share one plan. Every
 word still meets the same operations on the same data in the same order,
 so each value is the bits ``trace_with_weight``, its one-word case, gives.
-
-Both are deterministic: the sweep is one fixed sequence of array
-operations and the plan breaks cost ties on tensor ids, so one word
-always takes the same path with the same floating-point order.
 
 Word order: the first letter of a word acts first on states, so a word
 maps to the composition of its letters read right to left.
@@ -275,7 +275,8 @@ def _sweep(ctx: RepContext, lists, moved) -> list[complex]:
     # splits by the block at ``depth``. All branches but one wait on the
     # pending stack with the shared state, which is dropped once the last of
     # them starts, so no more states are alive than the lists left to trace.
-    # A group of one list runs the rest of its blocks with no bookkeeping.
+    # A group of one list runs the rest of its blocks with no bookkeeping, and
+    # a single list builds no tree at all.
     d = ctx.op.gtype.d
     cols = d ** len(moved)
     if len(moved) == ctx.factors:
@@ -285,6 +286,10 @@ def _sweep(ctx: RepContext, lists, moved) -> list[complex]:
         diag = (np.arange(0, ctx.dim * cols, cols).reshape((d,) * ctx.factors) + label).reshape(-1)
     state = np.zeros((ctx.dim, cols), dtype=np.complex128)
     state.put(diag, 1)
+    if len(lists) == 1:
+        for mat, pos, _, _ in lists[0]:
+            state = _apply_block(mat, pos, state, d)
+        return [_closed(state, diag)]
     values = [None] * len(lists)
     pending = []  # (shared state, its depth, the lists of one branch from it)
     depth, group = 0, range(len(lists))
@@ -297,7 +302,8 @@ def _sweep(ctx: RepContext, lists, moved) -> list[complex]:
                     values[n] = _closed(state, diag)
                 else:
                     branches.setdefault((id(blocks[depth][0]), blocks[depth][1]), []).append(n)
-            *waiting, group = branches.values() or [()]
+            waiting = list(branches.values())
+            group = waiting.pop() if waiting else ()
             pending += [(state, depth, rest) for rest in waiting]
             if group:
                 mat, pos, _, _ = lists[group[0]][depth]
@@ -467,20 +473,11 @@ def _planned(ctx: RepContext, blocks, plans=None):
 def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> list[complex]:
     """Weighted traces of several braids on one context under one weight.
 
-    Each value is ``trace_with_weight(ctx, b, blocks, allow_large)`` of its
-    word, to the bit: every word takes the evaluator it takes alone, with
-    the same operations on the same data in the same order. Words are
-    checked, and refused with the ResourceCapError they raise alone, in
-    order. What the words share is done once:
-
-    * words whose fused block lists match block for block (by matrix object
-      and position) are evaluated once;
-    * the sweep runs the lists that move the same factors as one prefix
-      tree, applying each shared leading block once;
-    * network-path words with the same block positions and spans share one
-      greedy plan, which depends only on the legs.
-
-    A single word skips this bookkeeping.
+    Each value is, to the bit, ``trace_with_weight(ctx, b, blocks,
+    allow_large)`` of its word, and a word that cannot be evaluated raises
+    the error it raises alone, the first such word in order. What the words
+    share is done once, as the module docstring describes; a single word
+    skips that bookkeeping.
     """
     for b in words:
         if b.strands != ctx.n:
@@ -530,6 +527,8 @@ def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> li
             positions.append(n)
         else:
             values[n] = _sweep(ctx, [fused], moved)[0]
+    if not family:
+        return values
     for moved, lists, positions in sweeps.values():
         for n, value in zip(positions, _sweep(ctx, lists, moved)):
             values[n] = value

@@ -63,9 +63,15 @@ conjugates, two stabilizations, a crossing triple) on one context under one
 weight, and does what they share once, exactly: words whose fused block
 lists match block for block are evaluated once; the sweep runs the lists
 that move the same factors as a prefix tree, applying each shared leading
-block once; network-path words with one block layout share one plan. Every
-word still meets the same operations on the same data in the same order,
-so each value is the bits ``trace_with_weight``, its one-word case, gives.
+block once. Every word still meets the same operations on the same data in
+the same order, so each value is the bits ``trace_with_weight``, its
+one-word case, gives.
+
+Plans are kept per block layout for the life of the process, across calls:
+the legs of a network, and so its greedy plan, follow from ``d``, the
+factor count and the position and span of each block alone, so a kept plan
+is the plan the layout would get afresh and values do not change. The
+``_PLANS_KEPT`` most recently planned layouts are kept.
 
 Word order: the first letter of a word acts first on states, so a word
 maps to the composition of its letters read right to left.
@@ -75,6 +81,7 @@ from __future__ import annotations
 
 import heapq
 import weakref
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -101,8 +108,23 @@ SWEEP_GATE = 1 << 19
 #: words evaluate. The sweep keeps two such arrays alive, a 128 MiB peak.
 PEAK_CAP = 1 << 22
 
+#: Block layouts whose greedy plans are kept, the oldest dropped first. On the
+#: ``wide-trace`` benchmark (16-word pool per cell, random rotation and theta;
+#: 2-CPU x86-64 host) 7 s segments of 10400-13200 ops met 3800-4200 distinct
+#: layouts; keeping 1024, 2048, 4096 and 8192 of them served 29-30, 48, 64-66
+#: and 66-68 % of their plans. An entry holds about 470 bytes (tracemalloc),
+#: 1.9 MB at this bound.
+_PLANS_KEPT = 4096
+
 # per operator, its powers r^e by exponent e, filled as words need them
 _POWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+# per block layout, array("I") bytes of d, the factor count and each block's
+# position and span: its plan from _greedy_plan, the steps packed alike as
+# flat id pairs. array("I") raises rather than truncate a value of 2^32 or
+# more; positions and tensor ids stay far below it, since a float overflows
+# at d^1024 and every word's letters are in memory
+_PLANS: dict[bytes, tuple[bytes, int, int]] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,19 +476,22 @@ def _contract(network, steps) -> complex:
     return value
 
 
-def _planned(ctx: RepContext, blocks, plans=None):
+def _planned(ctx: RepContext, blocks):
     # (multiply-adds, largest array, evaluation) of the greedy network over
-    # blocks. The plan reads only the legs, which the positions and spans of
-    # the blocks fix: plans, when given, keeps one plan per such layout.
+    # blocks, its plan kept in _PLANS
     network = _network(ctx, blocks)
-    if plans is None:
-        plan = _greedy_plan(network[1], ctx.op.gtype.d)
+    d = ctx.op.gtype.d
+    key = array("I", [d, ctx.factors, *(x for _, pos, span, _ in blocks for x in (pos, span))]).tobytes()
+    plan = _PLANS.get(key)
+    if plan is None:
+        steps, flops, peak = _greedy_plan(network[1], d)
+        if len(_PLANS) >= _PLANS_KEPT:
+            del _PLANS[next(iter(_PLANS))]
+        _PLANS[key] = array("I", [i for step in steps for i in step]).tobytes(), flops, peak
     else:
-        layout = tuple((pos, span) for _, pos, span, _ in blocks)
-        plan = plans.get(layout)
-        if plan is None:
-            plan = plans[layout] = _greedy_plan(network[1], ctx.op.gtype.d)
-    steps, flops, peak = plan
+        packed, flops, peak = plan
+        ids = iter(array("I", packed))
+        steps = list(zip(ids, ids))
     return flops, peak, partial(_contract, network, steps)
 
 
@@ -477,7 +502,8 @@ def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> li
     allow_large)`` of its word, and a word that cannot be evaluated raises
     the error it raises alone, the first such word in order. What the words
     share is done once, as the module docstring describes; a single word
-    skips that bookkeeping.
+    skips that bookkeeping. Network plans come from the per-layout plans
+    kept across calls, so a family and its words alone share them too.
     """
     for b in words:
         if b.strands != ctx.n:
@@ -488,7 +514,6 @@ def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> li
     values = [None] * len(words)
     same = {}  # per fused list, the position of the word evaluated and those of its repeats
     sweeps = {}  # per moved factors: those factors, the lists the sweep runs and their positions
-    plans = {} if family else None
     for n, b in enumerate(words):
         fused = placed + _fuse(ctx, b, cyclic=not placed)
         if family:
@@ -504,10 +529,10 @@ def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> li
         if sweep_cost >= SWEEP_GATE or sweep_peak > PEAK_CAP:
             # (multiply-adds, largest array, evaluation), ties to the first. The letter network
             # can plan a lower peak than the fused one; planning it for every word costs too much
-            candidates = [(sweep_cost, sweep_peak, None), _planned(ctx, fused, plans)]
+            candidates = [(sweep_cost, sweep_peak, None), _planned(ctx, fused)]
             if all(peak > PEAK_CAP for _, peak, _ in candidates):
-                # the letters are this word's own: a later word that fuses alike plans its own
-                candidates.append(_planned(ctx, placed + _letters(ctx, b), plans))
+                # the letters are this word's own: a later word that fuses alike evaluates its own
+                candidates.append(_planned(ctx, placed + _letters(ctx, b)))
                 shared = False
             # under the cap the fewest multiply-adds; over it the smallest largest array
             _, peak, evaluate = min(candidates, key=lambda c: (max(c[1], PEAK_CAP), c[0]))

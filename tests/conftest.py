@@ -1,6 +1,14 @@
 import pytest
 
+from gyblink import rep
 from gyblink.enhancement import catalog_enhancement
+
+
+@pytest.fixture(autouse=True)
+def fresh_plans():
+    # rep keeps greedy plans per block layout for the life of the process; a
+    # test that fakes _greedy_plan must not leave its fake plan to the next
+    rep._PLANS.clear()
 
 
 @pytest.fixture(scope="session")

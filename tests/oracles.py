@@ -10,6 +10,12 @@ components and linking numbers alone.
 ``homfly`` evaluates the HOMFLY-PT polynomial of a closed braid at one
 point through the Hecke algebra and Ocneanu's trace.
 
+``markov_ratios`` gives ``T(b sigma_n) / T(b)`` and ``T(b sigma_n^-1) / T(b)``
+for an operator given as a matrix and its type, ``T`` the plain trace of the
+dense representation built from ``np.kron`` embeddings: with the identity
+``mu``, the Markov move fixes them to the enhancement weights' ``alpha beta``
+and ``beta / alpha``.
+
 ``tensordot_contract`` is the reference for ``rep._contract``: it runs the
 same network and plan, but each pairwise step through ``np.tensordot``. It
 takes the network as ``rep._network`` leaves it, every label on two tensors.
@@ -174,3 +180,28 @@ def tensordot_contract(network, steps) -> complex:
         if arr is not None:
             value *= complex(arr)
     return value
+
+
+def _dense_trace(r: np.ndarray, inv: np.ndarray, d: int, k: int, m: int, strands: int, letters) -> complex:
+    # generator i acts on the k factors from m (i - 1), of k + m (strands - 2)
+    factors = k + m * (strands - 2)
+    out = np.eye(d**factors, dtype=complex)
+    for g in letters:
+        first = m * (abs(g) - 1)
+        mat = np.kron(np.kron(np.eye(d**first), r if g > 0 else inv), np.eye(d ** (factors - first - k)))
+        out = mat @ out
+    return complex(np.trace(out))
+
+
+def markov_ratios(r, d: int, k: int, m: int, b: BraidWord, floor: float = 1e-9):
+    """``(T(b sigma_n) / T(b), T(b sigma_n^-1) / T(b))`` for the type
+    ``(d, k, m)`` operator ``r`` and the ``n``-strand word ``b``, whose
+    stabilizations live on ``n + 1`` strands; None when ``|T(b)|`` is below
+    ``floor``, where the ratios would be rounding noise."""
+    r = np.asarray(r, dtype=complex)
+    inv = np.linalg.inv(r)
+    n = b.strands
+    base = _dense_trace(r, inv, d, k, m, n, b.letters)
+    if abs(base) < floor:
+        return None
+    return tuple(_dense_trace(r, inv, d, k, m, n + 1, b.letters + (s * n,)) / base for s in (1, -1))

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import bracket, homfly, jones, type2_closed_form
+from oracles import bracket, homfly, jones, markov_ratios, type2_closed_form
 
 from gyblink.braids import LINKS, BraidWord, closure_components, random_braid, stabilize
 from gyblink.enhancement import catalog_enhancement
 from gyblink.errors import ResourceCapError
 from gyblink.invariant import normalized_invariant, trace_invariant
+from gyblink.operators import CATALOG
 
 #: the bracket variable at which type3 and r232 give the Jones value
 A = cmath.exp(3j * cmath.pi / 8)
@@ -133,3 +134,27 @@ def test_type2_word_over_the_fused_plan_cap_is_evaluated():
     b = random_braid(14, 140, seed=1043)
     assert type2_closed_form(b) == 8
     assert abs(trace_invariant(TYPE2, b).value - 8) <= 1e-12 * 2 ** (closure_components(b) + 1)
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_markov_ratios_are_the_catalog_weights(name):
+    # with the identity mu, T(b sigma_n) = alpha beta T(b) and
+    # T(b sigma_n^-1) = beta / alpha T(b): the dense traces pin the published
+    # weights up to a common sign at every theta (r232 has none). Words whose
+    # trace vanishes fix nothing and are skipped
+    entry = CATALOG[name]
+    want = (entry.alpha * entry.beta, entry.beta / entry.alpha)
+    for theta in (0.4, 1.1, 2.5) if name != "r232" else (None,):
+        op = entry.build(theta)
+        g = op.gtype
+        rng = np.random.default_rng(29)
+        checked = 0
+        for i in range(30):
+            b = random_braid(1 + i % 3, int(rng.integers(0, 7)), rng)
+            ratios = markov_ratios(op.r, g.d, g.k, g.m, b)
+            if ratios is None:
+                continue
+            checked += 1
+            for got, w in zip(ratios, want):
+                assert abs(got - w) <= 1e-12 * abs(w), (name, theta, b)
+        assert checked >= 20

@@ -871,6 +871,7 @@ def test_traces_match_each_word_alone(monkeypatch):
     weight = [(np.diag([1.0, 1.5]), 1)] * ctx.factors
     for blocks, plans, contracts, swept in ((None, 3, 4, 1), (weight, 6, 7, 0)):
         alone = [trace_with_weight(ctx, w, blocks) for w in words]
+        rep._PLANS.clear()  # count the family's own plans, not those its words left alone
         calls = _counting(monkeypatch, "_greedy_plan", "_contract", "_sweep")
         assert traces(ctx, words, blocks) == alone
         assert calls == Counter(_greedy_plan=plans, _contract=contracts, _sweep=swept)
@@ -888,9 +889,79 @@ def test_traces_match_each_word_alone(monkeypatch):
     ctx = make_context(build_type1(0.3), 9)
     pair = [stabilize(b, sign) for sign in (1, -1)]
     alone = [trace_with_weight(ctx, w) for w in pair]
+    rep._PLANS.clear()
     calls = _counting(monkeypatch, "_greedy_plan", "_contract")
     assert traces(ctx, pair) == alone
     assert calls == Counter(_greedy_plan=1, _contract=2)
+
+
+def test_a_layout_is_planned_once_per_process(monkeypatch):
+    # a 40-letter word on 9 strands takes the network: at three theta its
+    # fused blocks keep one layout, planned by the first trace alone, and a
+    # later call plans nothing more; every value is the bits a fresh plan
+    # gives. On 300 strands positions and tensor ids pass 255, and a plan
+    # read back from the kept steps still gives the same bits
+    b = random_braid(9, 40, seed=5)
+    cases = [(make_context(build_type1(theta), 9), b) for theta in (0.3, 0.7, 1.1)]
+    wide = (make_context(build_type1(0.3), 300), random_braid(300, 300, seed=2))
+    cold = []
+    for ctx, w in cases + [wide]:
+        rep._PLANS.clear()
+        cold.append(trace_with_weight(ctx, w))
+    assert len(_fuse(*wide, cyclic=True)) > 128
+    rep._PLANS.clear()
+    calls = _counting(monkeypatch, "_greedy_plan")
+    assert [trace_with_weight(ctx, w) for ctx, w in cases] == cold[:3]
+    assert traces(cases[0][0], [b, b]) == [cold[0]] * 2
+    assert calls == Counter(_greedy_plan=1) and len(rep._PLANS) == 1
+    assert [trace_with_weight(*wide) for _ in range(2)] == [cold[3]] * 2
+    assert calls == Counter(_greedy_plan=2)
+
+
+def test_plans_are_kept_per_d_factor_count_and_span():
+    # layouts with the same block positions but another d, factor count or
+    # weight block span each get their own plan, the one a fresh planner
+    # gives: type1 and a random (3,3,1) operator on 5 strands, type1 on 6,
+    # and a two-factor weight block against a one-factor block beside an
+    # identity one, which leaves no block
+    z = np.random.default_rng(3).normal(size=(27, 27, 2)) @ [1, 1j]
+    qutrit = load_custom(np.linalg.qr(z)[0], GybType(3, 3, 1))
+    letters = random_braid(5, 12, seed=7).letters
+    mu = np.diag([1.0, 2.0])
+    five, six = make_context(OPS[0], 5), make_context(OPS[0], 6)
+    cases = [(five, None), (make_context(qutrit, 5), None), (six, None),
+             (five, [(np.kron(mu, mu), 2)] + [(mu, 1)] * 4),
+             (five, [(mu, 1), (np.eye(2), 1)] + [(mu, 1)] * 4)]
+    layouts = [(ctx, _place_blocks(ctx, w) + _letters(ctx, BraidWord(ctx.n, letters))) for ctx, w in cases]
+    assert len({tuple(pos for _, pos, _, _ in blocks) for _, blocks in layouts}) == 2
+    for n, (ctx, blocks) in enumerate(layouts * 2):
+        flops, peak, evaluate = rep._planned(ctx, blocks)
+        assert len(rep._PLANS) == min(n + 1, len(cases))
+        network = _network(ctx, blocks)
+        steps, *fresh = _greedy_plan(network[1], ctx.op.gtype.d)
+        assert [flops, peak] == fresh and evaluate() == _contract(network, steps)
+
+
+def test_plans_past_the_bound_drop_the_oldest(monkeypatch):
+    # with room for three layouts, the fourth and fifth drop the first two;
+    # an evicted layout is planned again, to the same steps, and drops the
+    # oldest left
+    monkeypatch.setattr("gyblink.rep._PLANS_KEPT", 3)
+    ctx = make_context(OPS[0], 6)
+    layouts = [_letters(ctx, random_braid(6, 10, seed=s)) for s in range(5)]
+    kept = {}
+    for blocks in layouts:
+        rep._planned(ctx, blocks)
+        key = next(reversed(rep._PLANS))
+        kept[key] = rep._PLANS[key]
+        assert len(rep._PLANS) == min(len(kept), 3)
+    keys = list(kept)
+    assert len(keys) == 5 and list(rep._PLANS) == keys[2:]
+    calls = _counting(monkeypatch, "_greedy_plan")
+    rep._planned(ctx, layouts[0])
+    rep._planned(ctx, layouts[0])
+    assert calls == Counter(_greedy_plan=1)
+    assert list(rep._PLANS) == keys[3:] + keys[:1] and rep._PLANS[keys[0]] == kept[keys[0]]
 
 
 def test_sweep_runs_shared_leading_blocks_once(monkeypatch):

@@ -80,6 +80,7 @@ maps to the composition of its letters read right to left.
 from __future__ import annotations
 
 import heapq
+import threading
 import weakref
 from array import array
 from collections import deque
@@ -123,8 +124,10 @@ _POWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # position and span: its plan from _greedy_plan, the steps packed alike as
 # flat id pairs. array("I") raises rather than truncate a value of 2^32 or
 # more; positions and tensor ids stay far below it, since a float overflows
-# at d^1024 and every word's letters are in memory
+# at d^1024 and every word's letters are in memory. Threads may trace at
+# once: _PLANS_LOCK makes each eviction and insertion one step
 _PLANS: dict[bytes, tuple[bytes, int, int]] = {}
+_PLANS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,9 +488,11 @@ def _planned(ctx: RepContext, blocks):
     plan = _PLANS.get(key)
     if plan is None:
         steps, flops, peak = _greedy_plan(network[1], d)
-        if len(_PLANS) >= _PLANS_KEPT:
-            del _PLANS[next(iter(_PLANS))]
-        _PLANS[key] = array("I", [i for step in steps for i in step]).tobytes(), flops, peak
+        packed = array("I", [i for step in steps for i in step]).tobytes()
+        with _PLANS_LOCK:
+            if len(_PLANS) >= _PLANS_KEPT:
+                del _PLANS[next(iter(_PLANS))]
+            _PLANS[key] = packed, flops, peak
     else:
         packed, flops, peak = plan
         ids = iter(array("I", packed))

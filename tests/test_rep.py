@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 import weakref
 from collections import Counter
 from functools import partial, reduce
@@ -962,6 +964,40 @@ def test_plans_past_the_bound_drop_the_oldest(monkeypatch):
     rep._planned(ctx, layouts[0])
     assert calls == Counter(_greedy_plan=1)
     assert list(rep._PLANS) == keys[3:] + keys[:1] and rep._PLANS[keys[0]] == kept[keys[0]]
+
+
+def test_threads_share_the_kept_plans(monkeypatch):
+    # more threads than CPUs plan more layouts than are kept, switching
+    # often: evictions do not race, the bound holds and each plan is the
+    # one its layout gets alone
+    monkeypatch.setattr("gyblink.rep._PLANS_KEPT", 2)
+    ctx = make_context(OPS[0], 6)
+    layouts = [_letters(ctx, random_braid(6, 8, seed=s)) for s in range(5)]
+    want = [rep._planned(ctx, blocks)[:2] for blocks in layouts]
+    failures, sizes = [], []
+
+    def work(k):
+        try:
+            for n in range(1000):
+                i = (n + k) % len(layouts)
+                if rep._planned(ctx, layouts[i])[:2] != want[i]:
+                    failures.append(i)
+                sizes.append(len(rep._PLANS))
+        except Exception as exc:  # a race surfaces here, in any thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == [] and len(sizes) == 6 * 1000 and max(sizes) <= 2
 
 
 def test_sweep_runs_shared_leading_blocks_once(monkeypatch):

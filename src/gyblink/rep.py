@@ -112,7 +112,7 @@ PEAK_CAP = 1 << 22
 #: Block layouts whose greedy plans are kept, the oldest dropped first. On the
 #: ``wide-trace`` benchmark (16-word pool per cell, random rotation and theta;
 #: 2-CPU x86-64 host) 7 s segments of 10400-13200 ops met 3800-4200 distinct
-#: layouts; keeping 1024, 2048, 4096 and 8192 of them served 29-30, 48, 64-66
+#: layouts; keeping 1024, 2048, 4096 and 8192 of them served 29-30, 48, 62-66
 #: and 66-68 % of their plans. An entry holds about 470 bytes (tracemalloc),
 #: 1.9 MB at this bound.
 _PLANS_KEPT = 4096

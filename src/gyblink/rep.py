@@ -39,9 +39,10 @@ chosen per call from the list and the context alone:
   wire onto itself (a block alone on a factor is traced over it) and
   contracts the network pairwise in a greedy order.
   Each pairwise step transposes and reshapes both tensors to matrices for
-  one ``np.dot``, as ``np.tensordot`` would, in its floating-point order.
-  Its cost follows the plan's largest intermediates, not ``dim^2``, so it
-  reaches words on dozens of strands.
+  one ``np.dot``, as ``np.tensordot`` would, in its floating-point order,
+  skipping a transpose whose order is the identity. Its cost follows the
+  plan's largest intermediates, not ``dim^2``, so it reaches words on
+  dozens of strands.
 
 ``traces`` alone decides size, word by word: of the sweep, the fused
 network and, when neither fits, the network of one tensor per letter, the
@@ -52,7 +53,9 @@ evaluator anyway, so that option never changes the path of a word that
 fits. The cap bounds one array, not the sum of those alive together, so the
 sweep's peak memory can reach twice the cap, plus one array per branch a
 family of sweep words keeps waiting. A strand count whose dimension
-overflows a float is refused whatever ``allow_large`` says.
+overflows a float, and a word whose smallest largest array no array can
+hold (``_HOLDABLE``), are refused whatever ``allow_large`` says; an
+evaluation that runs out of memory raises ResourceCapError too.
 
 Both are deterministic: the sweep is one fixed sequence of array
 operations and the plan breaks cost ties on tensor ids, so one word
@@ -67,11 +70,14 @@ block once. Every word still meets the same operations on the same data in
 the same order, so each value is the bits ``trace_with_weight``, its
 one-word case, gives.
 
-Plans are kept per block layout for the life of the process, across calls:
-the legs of a network, and so its greedy plan, follow from ``d``, the
-factor count and the position and span of each block alone, so a kept plan
-is the plan the layout would get afresh and values do not change. The
-``_PLANS_KEPT`` most recently planned layouts are kept.
+Networks are compiled once per block layout and kept for the life of the
+process, across calls: the legs of a network, the blocks it traces alone
+over their factors, its greedy plan and each step's axis orders follow from
+``d``, the factor count and the position and span of each block alone. A
+layout found kept skips ``_network`` and ``_greedy_plan``: its tensors are
+built from the blocks and the kept program makes the calls a fresh plan
+would, on the same arrays in the same order, so values do not change. The
+``_PLANS_KEPT`` most recently compiled layouts are kept.
 
 Word order: the first letter of a word acts first on states, so a word
 maps to the composition of its letters read right to left.
@@ -83,7 +89,9 @@ import heapq
 import threading
 import weakref
 from array import array
+from bisect import bisect_right
 from collections import deque
+from itertools import count
 from dataclasses import dataclass
 from functools import partial
 
@@ -109,25 +117,34 @@ SWEEP_GATE = 1 << 19
 #: words evaluate. The sweep keeps two such arrays alive, a 128 MiB peak.
 PEAK_CAP = 1 << 22
 
-#: Block layouts whose greedy plans are kept, the oldest dropped first. On the
-#: ``wide-trace`` benchmark (16-word pool per cell, random rotation and theta;
-#: 2-CPU x86-64 host) 7 s segments of 10400-13200 ops met 3800-4200 distinct
-#: layouts; keeping 1024, 2048, 4096 and 8192 of them served 29-30, 48, 62-66
-#: and 66-68 % of their plans. An entry holds about 470 bytes (tracemalloc),
-#: 1.9 MB at this bound.
+#: Block layouts whose compiled networks are kept, the oldest dropped first. On
+#: the ``wide-trace`` benchmark (16-word pool per cell, random rotation and
+#: theta; 2-CPU x86-64 host) 7 s segments of 10400-13200 ops met 3800-4200
+#: distinct layouts; keeping 1024, 2048, 4096 and 8192 of them served 29-30,
+#: 48, 62-66 and 66-68 % of their plans. An entry (key, steps, program,
+#: traced blocks, loop factor, multiply-adds and peak) holds about 900 bytes
+#: (tracemalloc), 3.7 MB at this bound.
 _PLANS_KEPT = 4096
 
 # per operator, its powers r^e by exponent e, filled as words need them
 _POWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # per block layout, array("I") bytes of d, the factor count and each block's
-# position and span: its plan from _greedy_plan, the steps packed alike as
-# flat id pairs. array("I") raises rather than truncate a value of 2^32 or
-# more; positions and tensor ids stay far below it, since a float overflows
-# at d^1024 and every word's letters are in memory. Threads may trace at
-# once: _PLANS_LOCK makes each eviction and insertion one step
-_PLANS: dict[bytes, tuple[bytes, int, int]] = {}
+# position and span: its network compiled by _network and _greedy_plan, as
+# (traced blocks, steps packed alike as flat id pairs, program, loop factor,
+# multiply-adds, largest array). array("I") raises rather than truncate a
+# value of 2^32 or more; positions and tensor ids stay far below it, since a
+# float overflows at d^1024 and every word's letters are in memory. Threads
+# may trace at once: _PLANS_LOCK makes each eviction and insertion one step
+_PLANS: dict[bytes, tuple[tuple, bytes, bytes, int, int, int]] = {}
 _PLANS_LOCK = threading.Lock()
+
+# a step's code in a _greedy_plan program: its shared-leg count, and whether
+# a's and b's axes are permuted before the dot
+_SHARED, _PERMUTE_A, _PERMUTE_B = 63, 64, 128
+
+# complex elements of the largest array numpy can hold, 2^63 bytes
+_HOLDABLE = 1 << 59
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,39 +369,56 @@ def _network(ctx: RepContext, blocks):
     """The closed network of ``tr(rho(b) . W)`` for one block list, the
     weight blocks of ``W`` first and then those of the word.
 
-    Returns ``(tensors, legs, loop_factor)``: one tensor per block in the
-    order they act, output legs first; the integer label of each tensor
-    axis; and ``d`` to the number of factors nothing acts on, each of which
-    closes into a loop. Factor ``j`` enters with label ``j`` and its last
-    output label is renamed to ``j``, which closes the wire without an
-    identity tensor. A block alone on a factor would carry that label
-    twice, so it is traced over those factors here: every returned label
-    sits on exactly two tensors.
+    Returns ``(traced, legs, loop_factor)``: per block alone on a factor,
+    its index with the einsum subscripts that trace it over those factors,
+    packed as bytes; the integer label of each tensor axis, one tensor per
+    block in the order they act, output legs first; and ``d`` to the number
+    of factors nothing acts on, each of which closes into a loop. Factor
+    ``j`` enters with label ``j`` and its last output label is renamed to
+    ``j``, which closes the wire without an identity tensor. A block alone
+    on a factor would carry that label twice, so ``_tensors`` traces it
+    over those factors: every returned label sits on exactly two tensors.
+    All of it follows from the layout alone, not from the blocks' arrays.
     """
-    d, fresh = ctx.op.gtype.d, ctx.factors  # fresh: the next unused label
+    fresh = ctx.factors  # the next unused label
     wires = list(range(ctx.factors))
-    tensors, legs = [], []
-    for mat, pos, span, _ in blocks:
+    legs, firsts = [], []  # firsts: each tensor's first output label
+    for _, pos, span, _ in blocks:
         ins = wires[pos - 1:pos - 1 + span]
         wires[pos - 1:pos - 1 + span] = out = list(range(fresh, fresh + span))
+        firsts.append(fresh)
         fresh += span
-        tensors.append(mat.reshape((d,) * 2 * span))
         legs.append(out + ins)
-    # only a tensor with a last output label changes; one that also took
-    # that factor's first input label repeats it and is traced over it
-    close = {w: j for j, w in enumerate(wires) if w != j}
-    for i, ls in enumerate(legs):
-        if close.keys().isdisjoint(ls):
+    # a last output label is renamed on the tensor whose outputs hold it; a
+    # tensor that also took that factor's first input label is lone there
+    loops, lone = 0, set()
+    for j, w in enumerate(wires):
+        if w == j:
+            loops += 1
             continue
-        ls = [close.get(x, x) for x in ls]
+        i = bisect_right(firsts, w) - 1
+        ls = legs[i]
+        ls[w - firsts[i]] = j
+        if ls.count(j) > 1:
+            lone.add(i)
+    traced = []
+    for i in sorted(lone):
+        ls = legs[i]
         legs[i] = once = [x for x in ls if ls.count(x) == 1]
-        if len(once) < len(ls):
-            axis = {x: n for n, x in enumerate(dict.fromkeys(ls))}
-            tensors[i] = np.einsum(tensors[i], [axis[x] for x in ls], [axis[x] for x in once])
-    return tensors, legs, d ** (ctx.factors - len(close))
+        axis = {x: n for n, x in enumerate(dict.fromkeys(ls))}
+        traced.append((i, bytes(axis[x] for x in ls), bytes(axis[x] for x in once)))
+    return tuple(traced), legs, ctx.op.gtype.d**loops
 
 
-def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int]:
+def _tensors(d: int, blocks, traced) -> list[np.ndarray]:
+    # one tensor per block, output axes first, traced as _network says
+    tensors = [mat.reshape((d,) * 2 * span) for mat, _, span, _ in blocks]
+    for i, ins, once in traced:
+        tensors[i] = np.einsum(tensors[i], list(ins), list(once))
+    return tensors
+
+
+def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, bytes]:
     """Pairwise contraction order for a network with the given leg labels.
 
     Every label sits on two tensors, as ``_network`` leaves them, so a
@@ -393,8 +427,16 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int]:
     greedy cost is ``size(out) - size(a) - size(b)`` with ties broken on the
     smaller, then the larger tensor id, so the order, and with it the
     floating-point result, is fixed. Merged tensors take the next id after
-    the inputs. Returns the steps as id pairs, the multiply-add count of the
-    whole contraction and the element count of its largest tensor.
+    the inputs, with ``a``'s free legs and then ``b``'s, each in its order.
+    Returns the steps as id pairs, the multiply-add count of the whole
+    contraction, the element count of its largest tensor and the program
+    ``_contract`` runs, packed as bytes. Per step, a code holds the number of
+    shared legs, with ``_PERMUTE_A`` when ``a``'s axes must be put in dot
+    order (its free legs, then the shared ones) and ``_PERMUTE_B`` when
+    ``b``'s must (the shared legs in ``a``'s order, then its free ones); the
+    permutations the code names follow it. A plan with an array no array
+    can hold (``_HOLDABLE``) is never run, and its program is empty: only
+    there can an axis or a leg count pass a byte's share.
     """
     owners, masks = {}, []  # owners: per label, the first tensor id it is on
     nbrs = [set() for _ in legs]
@@ -417,7 +459,8 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int]:
     heapq.heapify(heap)
     edges = len(heap)  # pairs of tensors that share a leg; every other heap entry is stale
     used = [False] * len(legs)
-    steps = []
+    legs = list(legs)
+    steps, program = [], []
     pop, push = heapq.heappop, heapq.heappush
     while edges:
         _, i, j = pop(heap)
@@ -427,34 +470,11 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int]:
         flops += power[(masks[i] | masks[j]).bit_count()]
         mask = masks[i] ^ masks[j]
         size = power[mask.bit_count()]
-        peak = max(peak, size)
+        if size > peak:
+            peak = size
         c = len(masks)
         steps.append((i, j))
-        masks.append(mask)
-        sizes.append(size)
-        used.append(False)
-        ns = nbrs[i] | nbrs[j]
-        ns -= {i, j}
-        nbrs.append(ns)
-        edges += len(ns) + 1 - len(nbrs[i]) - len(nbrs[j])
-        for k in ns:
-            nbrs[k].difference_update((i, j))
-            nbrs[k].add(c)
-            push(heap, (power[(masks[k] ^ mask).bit_count()] - sizes[k] - size, k, c))
-    return steps, flops, peak
-
-
-def _contract(network, steps) -> complex:
-    # Execute a plan from _greedy_plan on a network from _network. Each step
-    # is the transpose, reshape and np.dot that np.tensordot would run on the
-    # shared legs, in the same floating-point order, without its overhead.
-    # What no step merges is a tensor with no legs left, a factor of the value.
-    tensors, legs, loop_factor = network
-    tensors, legs = list(tensors), list(legs)
-    for i, j in steps:
-        a, b = tensors[i], tensors[j]
-        rest = {x: n for n, x in enumerate(legs[j])}
-        # a's axes in dot order: its free ones, then those it shares; b's: those it shares, then its free ones
+        rest = dict(zip(legs[j], count()))
         order_a, shared, order_b, free = [], [], [], []
         for n, x in enumerate(legs[i]):
             m = rest.pop(x, None)
@@ -464,13 +484,60 @@ def _contract(network, steps) -> complex:
             else:
                 shared.append(n)
                 order_b.append(m)
-        d, k = a.shape[0], a.shape[0] ** len(shared)  # every axis of every tensor has length d
-        order_a += shared
-        order_b += rest.values()
+        # a's axes are in dot order when its shared legs come last, b's when
+        # they come first in a's order
+        code, at = len(shared), len(program)
+        program.append(code)
+        if shared[0] != len(order_a):
+            program[at] |= _PERMUTE_A
+            program += order_a
+            program += shared
+        if order_b != list(range(code)):
+            program[at] |= _PERMUTE_B
+            program += order_b
+            program += rest.values()
         free += rest
         legs.append(free)
-        tensors.append(np.dot(a.transpose(order_a).reshape(-1, k), b.transpose(order_b).reshape(k, -1))
-                       .reshape((d,) * len(free)))
+        masks.append(mask)
+        sizes.append(size)
+        used.append(False)
+        ns = nbrs[i] | nbrs[j]
+        ns.discard(i)
+        ns.discard(j)
+        nbrs.append(ns)
+        edges += len(ns) + 1 - len(nbrs[i]) - len(nbrs[j])
+        for k in ns:
+            near = nbrs[k]
+            near.discard(i)
+            near.discard(j)
+            near.add(c)
+            push(heap, (power[(masks[k] ^ mask).bit_count()] - sizes[k] - size, k, c))
+    return steps, flops, peak, bytes(program) if peak < _HOLDABLE else b""
+
+
+def _contract(tensors, steps, program: bytes, loop_factor) -> complex:
+    # Execute a plan from _greedy_plan on tensors from _tensors. Each step is
+    # the transpose, reshape and np.dot that np.tensordot would run on the
+    # shared legs, in the same floating-point order, without its overhead; a
+    # transpose the plan found to be the identity is skipped, which hands
+    # np.dot the same arrays. What no step merges is a tensor with no legs
+    # left, a factor of the value.
+    tensors = list(tensors)
+    at = 0
+    for i, j in steps:
+        a, b = tensors[i], tensors[j]
+        code = program[at]
+        at += 1
+        if code & _PERMUTE_A:
+            a = a.transpose(tuple(program[at:at + a.ndim]))
+            at += a.ndim
+        if code & _PERMUTE_B:
+            b = b.transpose(tuple(program[at:at + b.ndim]))
+            at += b.ndim
+        shared = code & _SHARED
+        d = a.shape[0]  # every axis of every tensor has length d
+        k = d**shared
+        tensors.append(np.dot(a.reshape(-1, k), b.reshape(k, -1)).reshape((d,) * (a.ndim + b.ndim - 2 * shared)))
         tensors[i] = tensors[j] = None
     value = complex(loop_factor)
     for arr in tensors:
@@ -481,23 +548,38 @@ def _contract(network, steps) -> complex:
 
 def _planned(ctx: RepContext, blocks):
     # (multiply-adds, largest array, evaluation) of the greedy network over
-    # blocks, its plan kept in _PLANS
-    network = _network(ctx, blocks)
+    # blocks. Its layout is compiled once, by _network and _greedy_plan, and
+    # kept in _PLANS; every evaluation builds the tensors from the blocks and
+    # runs the kept program
     d = ctx.op.gtype.d
     key = array("I", [d, ctx.factors, *(x for _, pos, span, _ in blocks for x in (pos, span))]).tobytes()
     plan = _PLANS.get(key)
     if plan is None:
-        steps, flops, peak = _greedy_plan(network[1], d)
-        packed = array("I", [i for step in steps for i in step]).tobytes()
+        traced, legs, loop_factor = _network(ctx, blocks)
+        steps, flops, peak, program = _greedy_plan(legs, d)
+        plan = traced, array("I", [i for step in steps for i in step]).tobytes(), program, loop_factor, flops, peak
         with _PLANS_LOCK:
             if len(_PLANS) >= _PLANS_KEPT:
                 del _PLANS[next(iter(_PLANS))]
-            _PLANS[key] = packed, flops, peak
-    else:
-        packed, flops, peak = plan
-        ids = iter(array("I", packed))
-        steps = list(zip(ids, ids))
-    return flops, peak, partial(_contract, network, steps)
+            _PLANS[key] = plan
+    traced, ids, program, loop_factor, flops, peak = plan
+
+    def evaluate():
+        pairs = iter(array("I", ids))
+        return _contract(_tensors(d, blocks, traced), zip(pairs, pairs), program, loop_factor)
+
+    return flops, peak, evaluate
+
+
+def _in_memory(evaluate, peak: int):
+    # evaluate(), refusing as too large, not failing, one that runs out of
+    # memory, as an allow_large evaluation past the machine's memory does
+    try:
+        return evaluate()
+    except MemoryError:
+        raise ResourceCapError(
+            f"ran out of memory evaluating a trace whose largest array holds about 2^{peak.bit_length() - 1} elements"
+        ) from None
 
 
 def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> list[complex]:
@@ -541,26 +623,28 @@ def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> li
                 shared = False
             # under the cap the fewest multiply-adds; over it the smallest largest array
             _, peak, evaluate = min(candidates, key=lambda c: (max(c[1], PEAK_CAP), c[0]))
-            if peak > PEAK_CAP and not allow_large:
+            if peak > PEAK_CAP and (not allow_large or peak >= _HOLDABLE):
                 raise ResourceCapError(
                     f"a {len(b)}-letter word on {ctx.n} strands needs an array of about "
-                    f"2^{peak.bit_length() - 1} elements, over the cap of "
-                    f"2^{PEAK_CAP.bit_length() - 1}; pass allow_large=True (CLI: --allow-large) to override"
+                    f"2^{peak.bit_length() - 1} elements, " + (
+                        "more than any array can hold" if peak >= _HOLDABLE else
+                        f"over the cap of 2^{PEAK_CAP.bit_length() - 1}; "
+                        "pass allow_large=True (CLI: --allow-large) to override")
                 )
         if shared:
             same[key] = [n]
         if evaluate is not None:
-            values[n] = evaluate()
+            values[n] = _in_memory(evaluate, peak)
         elif family:
             _, lists, positions = sweeps.setdefault(frozenset(moved), (moved, [], []))
             lists.append(fused)
             positions.append(n)
         else:
-            values[n] = _sweep(ctx, [fused], moved)[0]
+            values[n] = _in_memory(partial(_sweep, ctx, [fused], moved), sweep_peak)[0]
     if not family:
         return values
     for moved, lists, positions in sweeps.values():
-        for n, value in zip(positions, _sweep(ctx, lists, moved)):
+        for n, value in zip(positions, _in_memory(partial(_sweep, ctx, lists, moved), ctx.dim * d ** len(moved))):
             values[n] = value
     for n, *repeats in same.values():
         for m in repeats:

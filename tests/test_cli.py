@@ -204,6 +204,20 @@ def test_peak_cap_exit_codes(capsys, monkeypatch):
     assert code == 0 and payload == want
 
 
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    # an evaluation that runs past the machine's memory, as an --allow-large
+    # word can, is refused with exit 3 and one line naming the array size, not
+    # a traceback and exit 1; np.dot is stubbed to fail, nothing large is built
+    def no_memory(*args):
+        raise MemoryError("stub")
+
+    word = " ".join(map(str, random_braid(9, 40, seed=5).letters))
+    monkeypatch.setattr("gyblink.rep.np.dot", no_memory)
+    code, out, err = run_cli(capsys, "compute", "--operator", "type1", "--braid", word, "--strands", "9", "--allow-large")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ran out of memory") and "elements" in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("flag", [(), ("--allow-large",)])
 @pytest.mark.parametrize("braid", [("", "--strands", "2000"), ("300000000",)])
 def test_float_range_refusal(capsys, flag, braid):

@@ -28,6 +28,7 @@ from gyblink.rep import (
     _network,
     _place_blocks,
     _sweep,
+    _tensors,
     dense_representation,
     make_context,
     rep_apply,
@@ -78,8 +79,8 @@ def test_plan_over_the_cap_takes_the_sweep(monkeypatch):
     b = random_braid(9, 30, seed=23)
 
     def wide_plan(legs, d):
-        steps, flops, _ = _greedy_plan(legs, d)
-        return steps, flops, PEAK_CAP + 1
+        steps, flops, _, program = _greedy_plan(legs, d)
+        return steps, flops, PEAK_CAP + 1, program
 
     def refuse(*args):
         raise AssertionError("the network path ran")
@@ -386,8 +387,8 @@ def test_sweep_arrays_hold_dim_times_moved_labels(monkeypatch):
         return _apply_block(mat, start, state, d)
 
     def wide_plan(legs, d):
-        steps, flops, _ = _greedy_plan(legs, d)
-        return steps, flops, PEAK_CAP + 1
+        steps, flops, _, program = _greedy_plan(legs, d)
+        return steps, flops, PEAK_CAP + 1, program
 
     def refuse(*args):
         raise AssertionError("the network path ran")
@@ -550,12 +551,17 @@ def test_weight_block_objects_are_checked_once_a_call(monkeypatch):
     assert len(_place_blocks(ctx, blocks)) == ctx.factors - 3 and checked == [2] * 3
 
 
+def _contracted(ctx, blocks):
+    # the greedy network over blocks, planned afresh, bypassing the kept plans
+    traced, legs, loop_factor = _network(ctx, blocks)
+    steps, _, _, program = _greedy_plan(legs, ctx.op.gtype.d)
+    return _contract(_tensors(ctx.op.gtype.d, blocks, traced), steps, program, loop_factor)
+
+
 def _forced_traces(ctx, b, blocks):
     # Both evaluators on the same word, bypassing the cost-based choice.
     fused = _traced_blocks(ctx, b, blocks)
-    network = _network(ctx, fused)
-    steps, _, _ = _greedy_plan(network[1], ctx.op.gtype.d)
-    return _sweep(ctx, [fused], _moved_factors(fused))[0], _contract(network, steps)
+    return _sweep(ctx, [fused], _moved_factors(fused))[0], _contracted(ctx, fused)
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.op_id)
@@ -612,7 +618,7 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
     b = random_braid(4, 40, seed=56)
     word = _fuse(ctx, b, cyclic=True)
     sweep_cost = ctx.dim**2 * (1 + len(word) * ctx.op.gtype.dim)
-    _, flops, _ = _greedy_plan(_network(ctx, word)[1], 2)
+    flops = _greedy_plan(_network(ctx, word)[1], 2)[1]
     assert len(word) < len(b) and sweep_cost >= SWEEP_GATE and flops >= sweep_cost
 
     def refuse(*args):
@@ -627,11 +633,11 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", 64)
     with pytest.raises(ResourceCapError):
         trace_with_weight(ctx, b)
-    letters = _network(ctx, _letters(ctx, b))
-    steps, letter_flops, letter_peak = _greedy_plan(letters[1], 2)
+    _, letter_flops, letter_peak, _ = _greedy_plan(_network(ctx, _letters(ctx, b))[1], 2)
     assert letter_peak == ctx.dim**2 and letter_flops < sweep_cost
+    want = _contracted(ctx, _letters(ctx, b))
     seen = _recording_contract(monkeypatch)
-    assert trace_with_weight(ctx, b, allow_large=True) == _contract(letters, steps)
+    assert trace_with_weight(ctx, b, allow_large=True) == want
     assert seen == [len(b)]
 
 
@@ -640,9 +646,9 @@ def _recording_contract(monkeypatch):
     # tensor count of every network a trace contracts
     seen = []
 
-    def record(network, steps):
-        seen.append(len(network[0]))
-        return _contract(network, steps)
+    def record(tensors, *rest):
+        seen.append(len(tensors))
+        return _contract(tensors, *rest)
 
     monkeypatch.setattr("gyblink.rep._contract", record)
     return seen
@@ -660,7 +666,7 @@ def test_allow_large_runs_the_array_the_refusal_names(monkeypatch):
     assert _greedy_plan(_network(ctx, word)[1], 2)[2] == 2**30
     seen = []
     monkeypatch.setattr("gyblink.rep._sweep", lambda *args: seen.append("sweep"))
-    monkeypatch.setattr("gyblink.rep._contract", lambda network, steps: seen.append(len(network[0])))
+    monkeypatch.setattr("gyblink.rep._contract", lambda tensors, *rest: seen.append(len(tensors)))
     with pytest.raises(ResourceCapError, match=r"about 2\^30 elements, over the cap of 2\^22"):
         trace_with_weight(ctx, b)
     trace_with_weight(ctx, b, allow_large=True)
@@ -716,10 +722,8 @@ def test_fused_plan_over_the_cap_falls_back_to_the_letter_network(monkeypatch):
     word = _fuse(ctx, b, cyclic=True)
     assert ctx.dim * 2 ** len(_moved_factors(word)) > PEAK_CAP
     assert _greedy_plan(_network(ctx, word)[1], 2)[2] == 2**24
-    network = _network(ctx, _letters(ctx, b))
-    steps, _, peak = _greedy_plan(network[1], 2)
-    assert peak == 2**20
-    assert trace_with_weight(ctx, b) == _contract(network, steps)
+    assert _greedy_plan(_network(ctx, _letters(ctx, b))[1], 2)[2] == 2**20
+    assert trace_with_weight(ctx, b) == _contracted(ctx, _letters(ctx, b))
     # refused once the letter network is over the cap too, naming its peak
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", 2**19)
     with pytest.raises(ResourceCapError, match=r"about 2\^20 elements, over the cap of 2\^19"):
@@ -738,9 +742,10 @@ def test_wide_words_past_the_cap(name):
 
 
 def _seeded_networks(count, seed, blocks_of=_fuse):
-    # ``count`` networks: the four operators, 1-12 strands (r232: 1-7),
-    # 0-60 letters, every other group of four with non-identity weight
-    # blocks, spanning one factor each or two at the right end
+    # the contexts and block lists of ``count`` networks: the four
+    # operators, 1-12 strands (r232: 1-7), 0-60 letters, every other group
+    # of four with non-identity weight blocks, spanning one factor each or
+    # two at the right end
     rng = np.random.default_rng(seed)
     for case in range(count):
         op = OPS[case % 4]
@@ -753,7 +758,7 @@ def _seeded_networks(count, seed, blocks_of=_fuse):
             blocks = [(mu, 1)] * (ctx.factors - 2) + [(np.kron(mu, mu), 2)]
         elif case % 8 >= 4:
             blocks = [(mu, 1)] * ctx.factors
-        yield ctx, _network(ctx, _place_blocks(ctx, blocks) + blocks_of(ctx, b))
+        yield ctx, _place_blocks(ctx, blocks) + blocks_of(ctx, b)
 
 
 def test_greedy_plans_are_pinned():
@@ -764,7 +769,8 @@ def test_greedy_plans_are_pinned():
     # the word read open (weighted traces) and closed (the identity weight)
     digests = {}
     for name, blocks_of in (("_letters", _letters), ("_fuse", _fuse), ("cyclic _fuse", partial(_fuse, cyclic=True))):
-        plans = [_greedy_plan(network[1], ctx.op.gtype.d) for ctx, network in _seeded_networks(300, 41, blocks_of)]
+        plans = [_greedy_plan(_network(ctx, blocks)[1], ctx.op.gtype.d)[:3]
+                 for ctx, blocks in _seeded_networks(300, 41, blocks_of)]
         assert sum(len(steps) for steps, _, _ in plans) > 3000
         digests[name] = hashlib.sha256(repr(plans).encode()).hexdigest()
     assert digests == {
@@ -779,7 +785,8 @@ def test_network_labels_join_two_tensors():
     # a label and every label joins two tensors, as _greedy_plan and
     # _contract assume
     for blocks_of in (_letters, _fuse):
-        for _, (_, legs, _) in _seeded_networks(300, 41, blocks_of):
+        for ctx, blocks in _seeded_networks(300, 41, blocks_of):
+            legs = _network(ctx, blocks)[1]
             assert all(len(set(ls)) == len(ls) for ls in legs)
             counts = Counter(x for ls in legs for x in ls)
             assert set(counts.values()) <= {2}
@@ -822,16 +829,20 @@ def test_contract_matches_tensordot_exactly():
     op = OPS[0]
     mu = np.array([[0.3, 1.1j], [-0.7, 2.0]])
     two = make_context(op, 2)
-    cases = [(ctx, network) for ctx, network in _seeded_networks(60, 43)] + [
-        (two, _network(two, [])),  # no tensor at all
-        (two, _network(two, _place_blocks(two, [(mu, 1)] * 3))),
-        (two, _network(two, _fuse(two, parse_braid("1", 2)))),  # one letter, closed onto itself
+    cases = list(_seeded_networks(60, 43)) + [
+        (two, []),  # no tensor at all
+        (two, _place_blocks(two, [(mu, 1)] * 3)),
+        (two, _fuse(two, parse_braid("1", 2))),  # one letter, closed onto itself
     ]
     traced = 0
-    for ctx, network in cases:
+    for ctx, blocks in cases:
+        d = ctx.op.gtype.d
+        network = _network(ctx, blocks)
         traced += _traced_wires(ctx, network) > 0
-        steps, _, _ = _greedy_plan(network[1], ctx.op.gtype.d)
-        assert _contract(network, steps) == tensordot_contract(network, steps)
+        steps, _, _, program = _greedy_plan(network[1], d)
+        tensors = _tensors(d, blocks, network[0])
+        want = tensordot_contract((tensors, *network[1:]), steps)
+        assert _contract(tensors, steps, program, network[2]) == want
     assert traced >= 3
 
 
@@ -912,12 +923,12 @@ def test_a_layout_is_planned_once_per_process(monkeypatch):
         cold.append(trace_with_weight(ctx, w))
     assert len(_fuse(*wide, cyclic=True)) > 128
     rep._PLANS.clear()
-    calls = _counting(monkeypatch, "_greedy_plan")
+    calls = _counting(monkeypatch, "_greedy_plan", "_network")
     assert [trace_with_weight(ctx, w) for ctx, w in cases] == cold[:3]
     assert traces(cases[0][0], [b, b]) == [cold[0]] * 2
-    assert calls == Counter(_greedy_plan=1) and len(rep._PLANS) == 1
+    assert calls == Counter(_greedy_plan=1, _network=1) and len(rep._PLANS) == 1
     assert [trace_with_weight(*wide) for _ in range(2)] == [cold[3]] * 2
-    assert calls == Counter(_greedy_plan=2)
+    assert calls == Counter(_greedy_plan=2, _network=2)
 
 
 def test_plans_are_kept_per_d_factor_count_and_span():
@@ -939,9 +950,8 @@ def test_plans_are_kept_per_d_factor_count_and_span():
     for n, (ctx, blocks) in enumerate(layouts * 2):
         flops, peak, evaluate = rep._planned(ctx, blocks)
         assert len(rep._PLANS) == min(n + 1, len(cases))
-        network = _network(ctx, blocks)
-        steps, *fresh = _greedy_plan(network[1], ctx.op.gtype.d)
-        assert [flops, peak] == fresh and evaluate() == _contract(network, steps)
+        fresh = _greedy_plan(_network(ctx, blocks)[1], ctx.op.gtype.d)[1:3]
+        assert (flops, peak) == fresh and evaluate() == _contracted(ctx, blocks)
 
 
 def test_plans_past_the_bound_drop_the_oldest(monkeypatch):
@@ -968,19 +978,25 @@ def test_plans_past_the_bound_drop_the_oldest(monkeypatch):
 
 def test_threads_share_the_kept_plans(monkeypatch):
     # more threads than CPUs plan more layouts than are kept, switching
-    # often: evictions do not race, the bound holds and each plan is the
-    # one its layout gets alone
+    # often: evictions do not race, the bound holds, and each kept entry and
+    # each evaluation is the one its layout gets alone
     monkeypatch.setattr("gyblink.rep._PLANS_KEPT", 2)
     ctx = make_context(OPS[0], 6)
     layouts = [_letters(ctx, random_braid(6, 8, seed=s)) for s in range(5)]
-    want = [rep._planned(ctx, blocks)[:2] for blocks in layouts]
+    want, entries = [], {}  # entries: the one a layout's compile alone keeps
+    for blocks in layouts:
+        rep._PLANS.clear()
+        flops, peak, evaluate = rep._planned(ctx, blocks)
+        want.append((flops, peak, evaluate()))
+        entries.update(rep._PLANS)
     failures, sizes = [], []
 
     def work(k):
         try:
             for n in range(1000):
                 i = (n + k) % len(layouts)
-                if rep._planned(ctx, layouts[i])[:2] != want[i]:
+                flops, peak, evaluate = rep._planned(ctx, layouts[i])
+                if (flops, peak, evaluate()) != want[i] or any(entries[key] != v for key, v in list(rep._PLANS.items())):
                     failures.append(i)
                 sizes.append(len(rep._PLANS))
         except Exception as exc:  # a race surfaces here, in any thread
@@ -1075,3 +1091,118 @@ def test_sweep_keeps_no_more_states_than_words(monkeypatch):
             assert peak <= len(words)
             most = max(most, peak)
     assert most >= 3
+
+
+def _lone_split_union(ctx):
+    # a split union whose halves overlap only at the junction: the network
+    # traces the blocks alone on their factors
+    rng = np.random.default_rng(71)
+    half = random_braid(ctx.n // 2, 3, rng), random_braid(ctx.n - ctx.n // 2, 3, rng)
+    return _fuse(ctx, juxtapose(*half), cyclic=True)
+
+
+def _program_cases():
+    # (ctx, block list) per kind of kept program: blocks alone on factors,
+    # a non-identity mu on every factor, a random d = 3 operator, the letter
+    # network the fallback plans and a word whose tensor ids pass 255
+    rng = np.random.default_rng(73)
+    lone = make_context(OPS[1], 7)
+    weighted = make_context(OPS[1], 8)
+    mu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    z = rng.normal(size=(27, 27, 2)) @ [1, 1j]
+    qutrit = make_context(load_custom(np.linalg.qr(z)[0], GybType(3, 3, 1)), 5)
+    letters = make_context(build_r232(), 8)
+    wide = make_context(build_type1(0.3), 300)
+    return {
+        "lone": (lone, _lone_split_union(lone)),
+        "mu": (weighted, _traced_blocks(weighted, random_braid(8, 30, rng), [(mu, 1)] * weighted.factors)),
+        "d3": (qutrit, _fuse(qutrit, random_braid(5, 24, rng), cyclic=True)),
+        "letters": (letters, _letters(letters, random_braid(8, 138, seed=1457))),
+        "ids": (wide, _fuse(wide, random_braid(300, 300, seed=2), cyclic=True)),
+    }
+
+
+@pytest.mark.parametrize("case", ["lone", "mu", "d3", "letters", "ids"])
+def test_a_kept_program_gives_the_bits_of_a_cold_one(monkeypatch, case):
+    # the first evaluation of a layout compiles it; a second reads the kept
+    # program back without _network or _greedy_plan and gives the same bits,
+    # those of a plan made afresh and contracted
+    ctx, blocks = _program_cases()[case]
+    traced, legs, _ = _network(ctx, blocks)
+    if case == "lone":
+        assert traced
+    if case == "ids":
+        assert len(blocks) + len(_greedy_plan(legs, 2)[0]) > 256
+    calls = _counting(monkeypatch, "_network", "_greedy_plan", "_contract")
+    cold = rep._planned(ctx, blocks)
+    assert calls == Counter(_network=1, _greedy_plan=1)
+    warm = rep._planned(ctx, blocks)
+    assert calls == Counter(_network=1, _greedy_plan=1) and warm[:2] == cold[:2]
+    values = [cold[2](), warm[2]()]
+    assert calls["_contract"] == 2
+    monkeypatch.undo()
+    assert [repr(v) for v in values] == [repr(_contracted(ctx, blocks))] * 2
+
+
+def test_kept_programs_of_the_fallback_and_a_weight_trace_alike(monkeypatch):
+    # through trace_with_weight: the letter-network fallback and a weighted
+    # trace on the network path give the bits of their cold calls when a
+    # later call finds their programs kept
+    mu = np.diag([1.0, 1.5j])
+    cases = [(make_context(build_r232(), 8), random_braid(8, 138, seed=1457), None),
+             (make_context(OPS[1], 8), random_braid(8, 30, seed=9), [(mu, 1)] * 9)]
+    for ctx, b, blocks in cases:
+        rep._PLANS.clear()
+        cold = trace_with_weight(ctx, b, blocks)
+        calls = _counting(monkeypatch, "_network", "_contract")
+        assert repr(trace_with_weight(ctx, b, blocks)) == repr(cold)
+        assert calls == Counter(_contract=1)
+        monkeypatch.undo()
+
+
+def test_identity_orders_are_not_packed():
+    # a step whose operand's axes are already in dot order packs no
+    # permutation, so _contract skips its transpose; a plan with an array no
+    # array can hold packs nothing at all
+    steps, _, peak, program = _greedy_plan([[0, 1, 2], [1, 2, 3], [3, 0]], 2)
+    assert steps == [(0, 1), (2, 3)] and peak == 8
+    # (0, 1): a keeps label 0 first, b shares 1 and 2 first; (2, 3): a = [3, 0]
+    # shares both legs of b = [0, 3], whose order must be permuted
+    assert program == bytes([2, 2 | 128, 1, 0])
+    wide = list(range(70))
+    assert _greedy_plan([wide, wide], 2)[2:] == (2**70, b"")
+
+
+def test_evaluations_past_memory_are_refused(monkeypatch):
+    # an evaluation whose arrays do not fit in memory raises ResourceCapError
+    # naming its largest array, on the network path and on the sweep; nothing
+    # large is allocated, np.dot and np.matmul are stubbed to fail
+    def no_memory(*args):
+        raise MemoryError("stub")
+
+    network = make_context(build_type1(0.3), 9), random_braid(9, 40, seed=5)
+    monkeypatch.setattr("gyblink.rep.np.dot", no_memory)
+    with pytest.raises(ResourceCapError, match=r"^ran out of memory .* about 2\^\d+ elements$"):
+        trace_with_weight(*network)
+    monkeypatch.undo()
+    sweep = make_context(build_type1(0.3), 4), random_braid(4, 6, seed=5)
+    monkeypatch.setattr("gyblink.rep.np.matmul", no_memory)
+    for words in ([sweep[1]], [sweep[1], random_braid(4, 6, seed=6)]):
+        with pytest.raises(ResourceCapError, match=r"about 2\^\d+ elements"):
+            traces(sweep[0], words)
+
+
+def test_allow_large_refuses_an_array_no_array_can_hold(monkeypatch):
+    # with every candidate's largest array past 2^59 complex elements (2^63
+    # bytes), allow_large cannot run one: the refusal says so, not "pass
+    # allow_large". The plan is faked; nothing is evaluated
+    def huge_plan(legs, d):
+        steps, flops, _, _ = _greedy_plan(legs, d)
+        return steps, flops, rep._HOLDABLE, b""
+
+    monkeypatch.setattr("gyblink.rep._greedy_plan", huge_plan)
+    ctx = make_context(build_type1(0.3), 40)
+    b = random_braid(40, 60, seed=3)
+    for allow_large in (False, True):
+        with pytest.raises(ResourceCapError, match=r"about 2\^59 elements, more than any array can hold$"):
+            trace_with_weight(ctx, b, allow_large=allow_large)

@@ -72,8 +72,10 @@ def trace_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> 
     """Evaluate the raw invariant of the closure of ``b``.
 
     The weighted trace comes from ``rep.trace_with_weight``; the ``rep``
-    module docstring describes its two evaluators, the size cap, the
-    ResourceCapError raised past it and what ``allow_large`` runs instead.
+    module docstring describes its three candidates (the column sweep, the
+    fused network and the network of one tensor per letter), the size cap,
+    the ResourceCapError raised past it and what ``allow_large`` runs
+    instead.
     """
     ctx = make_context(s.op, b.strands)
     tr = trace_with_weight(ctx, b, _weight(s, ctx), allow_large)

@@ -73,11 +73,12 @@ one-word case, gives.
 Networks are compiled once per block layout and kept for the life of the
 process, across calls: the legs of a network, the blocks it traces alone
 over their factors, its greedy plan and each step's axis orders follow from
-``d``, the factor count and the position and span of each block alone. A
-layout found kept skips ``_network`` and ``_greedy_plan``: its tensors are
-built from the blocks and the kept program makes the calls a fresh plan
-would, on the same arrays in the same order, so values do not change. The
-``_PLANS_KEPT`` most recently compiled layouts are kept.
+``d``, the factor count and the position and span of each block alone,
+which is all ``_network`` is given. A layout found kept skips ``_network``
+and ``_greedy_plan``: its tensors are built from the blocks and the kept
+program makes the calls a fresh plan would, on the same arrays in the same
+order, so values do not change. The ``_PLANS_KEPT`` most recently used
+layouts are kept.
 
 Word order: the first letter of a word acts first on states, so a word
 maps to the composition of its letters read right to left.
@@ -86,14 +87,13 @@ maps to the composition of its letters read right to left.
 from __future__ import annotations
 
 import heapq
-import threading
 import weakref
 from array import array
 from bisect import bisect_right
 from collections import deque
 from itertools import count
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -117,27 +117,17 @@ SWEEP_GATE = 1 << 19
 #: words evaluate. The sweep keeps two such arrays alive, a 128 MiB peak.
 PEAK_CAP = 1 << 22
 
-#: Block layouts whose compiled networks are kept, the oldest dropped first. On
-#: the ``wide-trace`` benchmark (16-word pool per cell, random rotation and
-#: theta; 2-CPU x86-64 host) 7 s segments of 10400-13200 ops met 3800-4200
-#: distinct layouts; keeping 1024, 2048, 4096 and 8192 of them served 29-30,
-#: 48, 62-66 and 66-68 % of their plans. An entry (key, steps, program,
-#: traced blocks, loop factor, multiply-adds and peak) holds about 900 bytes
-#: (tracemalloc), 3.7 MB at this bound.
+#: Block layouts whose compiled networks are kept, the least recently used
+#: dropped first. On the ``wide-trace`` benchmark (16-word pool per cell,
+#: random rotation and theta; 2-CPU x86-64 host) 7 s segments of 10400-13200
+#: ops met 3800-4200 distinct layouts; keeping 1024, 2048, 4096 and 8192 of
+#: them served 29-30, 48, 62-66 and 66-68 % of their plans. An entry (key,
+#: steps, program, traced blocks, loop factor, multiply-adds, peak and the
+#: cache's own link) holds about 1016 bytes (tracemalloc), 4.2 MB at this bound.
 _PLANS_KEPT = 4096
 
 # per operator, its powers r^e by exponent e, filled as words need them
 _POWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-# per block layout, array("I") bytes of d, the factor count and each block's
-# position and span: its network compiled by _network and _greedy_plan, as
-# (traced blocks, steps packed alike as flat id pairs, program, loop factor,
-# multiply-adds, largest array). array("I") raises rather than truncate a
-# value of 2^32 or more; positions and tensor ids stay far below it, since a
-# float overflows at d^1024 and every word's letters are in memory. Threads
-# may trace at once: _PLANS_LOCK makes each eviction and insertion one step
-_PLANS: dict[bytes, tuple[tuple, bytes, bytes, int, int, int]] = {}
-_PLANS_LOCK = threading.Lock()
 
 # a step's code in a _greedy_plan program: its shared-leg count, and whether
 # a's and b's axes are permuted before the dot
@@ -317,8 +307,8 @@ def _sweep(ctx: RepContext, lists, moved) -> list[complex]:
     # splits by the block at ``depth``. All branches but one wait on the
     # pending stack with the shared state, which is dropped once the last of
     # them starts, so no more states are alive than the lists left to trace.
-    # A group of one list runs the rest of its blocks with no bookkeeping, and
-    # a single list builds no tree at all.
+    # A group of one list, as a lone list is, runs the rest of its blocks with
+    # no bookkeeping.
     d = ctx.op.gtype.d
     cols = d ** len(moved)
     if len(moved) == ctx.factors:
@@ -328,10 +318,6 @@ def _sweep(ctx: RepContext, lists, moved) -> list[complex]:
         diag = (np.arange(0, ctx.dim * cols, cols).reshape((d,) * ctx.factors) + label).reshape(-1)
     state = np.zeros((ctx.dim, cols), dtype=np.complex128)
     state.put(diag, 1)
-    if len(lists) == 1:
-        for mat, pos, _, _ in lists[0]:
-            state = _apply_block(mat, pos, state, d)
-        return [_closed(state, diag)]
     values = [None] * len(lists)
     pending = []  # (shared state, its depth, the lists of one branch from it)
     depth, group = 0, range(len(lists))
@@ -365,9 +351,10 @@ def _closed(state: np.ndarray, diag: np.ndarray) -> complex:
     return complex(0.0 + 0.0j + state.take(diag).sum())
 
 
-def _network(ctx: RepContext, blocks):
-    """The closed network of ``tr(rho(b) . W)`` for one block list, the
-    weight blocks of ``W`` first and then those of the word.
+def _network(d: int, factors: int, layout):
+    """The closed network of ``tr(rho(b) . W)`` over ``factors`` factors of
+    dimension ``d`` for one block layout, the ``(position, span)`` of each
+    block, the weight blocks of ``W`` first and then those of the word.
 
     Returns ``(traced, legs, loop_factor)``: per block alone on a factor,
     its index with the einsum subscripts that trace it over those factors,
@@ -378,12 +365,11 @@ def _network(ctx: RepContext, blocks):
     ``j``, which closes the wire without an identity tensor. A block alone
     on a factor would carry that label twice, so ``_tensors`` traces it
     over those factors: every returned label sits on exactly two tensors.
-    All of it follows from the layout alone, not from the blocks' arrays.
     """
-    fresh = ctx.factors  # the next unused label
-    wires = list(range(ctx.factors))
+    fresh = factors  # the next unused label
+    wires = list(range(factors))
     legs, firsts = [], []  # firsts: each tensor's first output label
-    for _, pos, span, _ in blocks:
+    for pos, span in layout:
         ins = wires[pos - 1:pos - 1 + span]
         wires[pos - 1:pos - 1 + span] = out = list(range(fresh, fresh + span))
         firsts.append(fresh)
@@ -407,7 +393,7 @@ def _network(ctx: RepContext, blocks):
         legs[i] = once = [x for x in ls if ls.count(x) == 1]
         axis = {x: n for n, x in enumerate(dict.fromkeys(ls))}
         traced.append((i, bytes(axis[x] for x in ls), bytes(axis[x] for x in once)))
-    return tuple(traced), legs, ctx.op.gtype.d**loops
+    return tuple(traced), legs, d**loops
 
 
 def _tensors(d: int, blocks, traced) -> list[np.ndarray]:
@@ -546,23 +532,28 @@ def _contract(tensors, steps, program: bytes, loop_factor) -> complex:
     return value
 
 
+@lru_cache(maxsize=_PLANS_KEPT)
+def _compiled(key: bytes) -> tuple[tuple, bytes, bytes, int, int, int]:
+    # The network of one block layout compiled by _network and _greedy_plan,
+    # as (traced blocks, steps packed as flat id pairs, program, loop factor,
+    # multiply-adds, largest array). key: array("I") bytes of d, the factor
+    # count and each block's position and span. array("I") raises rather than
+    # truncate a value of 2^32 or more; positions and tensor ids stay far
+    # below it, since a float overflows at d^1024 and every word's letters are
+    # in memory. lru_cache keeps its entries coherent when threads trace at once
+    d, factors, *layout = array("I", key)
+    traced, legs, loop_factor = _network(d, factors, zip(layout[::2], layout[1::2]))
+    steps, flops, peak, program = _greedy_plan(legs, d)
+    return traced, array("I", [i for step in steps for i in step]).tobytes(), program, loop_factor, flops, peak
+
+
 def _planned(ctx: RepContext, blocks):
     # (multiply-adds, largest array, evaluation) of the greedy network over
-    # blocks. Its layout is compiled once, by _network and _greedy_plan, and
-    # kept in _PLANS; every evaluation builds the tensors from the blocks and
-    # runs the kept program
+    # blocks. Its layout is compiled once and kept by _compiled; every
+    # evaluation builds the tensors from the blocks and runs the kept program
     d = ctx.op.gtype.d
     key = array("I", [d, ctx.factors, *(x for _, pos, span, _ in blocks for x in (pos, span))]).tobytes()
-    plan = _PLANS.get(key)
-    if plan is None:
-        traced, legs, loop_factor = _network(ctx, blocks)
-        steps, flops, peak, program = _greedy_plan(legs, d)
-        plan = traced, array("I", [i for step in steps for i in step]).tobytes(), program, loop_factor, flops, peak
-        with _PLANS_LOCK:
-            if len(_PLANS) >= _PLANS_KEPT:
-                del _PLANS[next(iter(_PLANS))]
-            _PLANS[key] = plan
-    traced, ids, program, loop_factor, flops, peak = plan
+    traced, ids, program, loop_factor, flops, peak = _compiled(key)
 
     def evaluate():
         pairs = iter(array("I", ids))
@@ -586,29 +577,31 @@ def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> li
     """Weighted traces of several braids on one context under one weight.
 
     Each value is, to the bit, ``trace_with_weight(ctx, b, blocks,
-    allow_large)`` of its word, and a word that cannot be evaluated raises
-    the error it raises alone, the first such word in order. What the words
-    share is done once, as the module docstring describes; a single word
-    skips that bookkeeping. Network plans come from the per-layout plans
-    kept across calls, so a family and its words alone share them too.
+    allow_large)`` of its word. A word the cap refuses raises the error it
+    raises alone, the first such word in order; the sweeps run after every
+    word is placed, so a sweep that runs out of memory is raised after any
+    refusal, whatever its word's place. What the words share is done once,
+    as the module docstring describes. Network plans come from the
+    per-layout plans kept across calls, so a family and its words alone
+    share them too.
     """
     for b in words:
         if b.strands != ctx.n:
             raise ShapeError(f"braid has {b.strands} strands, context expects {ctx.n}")
     placed = _place_blocks(ctx, blocks)
     d = ctx.op.gtype.d
-    family = len(words) > 1
     values = [None] * len(words)
     same = {}  # per fused list, the position of the word evaluated and those of its repeats
-    sweeps = {}  # per moved factors: those factors, the lists the sweep runs and their positions
+    sweeps = {}  # per moved factors, the lists the sweep runs and their positions
     for n, b in enumerate(words):
         fused = placed + _fuse(ctx, b, cyclic=not placed)
-        if family:
-            key = tuple((id(mat), pos) for mat, pos, _, _ in fused)
-            if key in same:
-                same[key].append(n)
-                continue
-        shared = family
+        # from a list: tuple() of a generator grows its tuple by resizing, and
+        # the resized tuples pile up in the interpreter's tuple free lists
+        key = tuple([(id(mat), pos) for mat, pos, _, _ in fused])
+        if key in same:
+            same[key].append(n)
+            continue
+        same[key] = [n]
         moved = _moved_factors(fused)
         sweep_peak = ctx.dim * d ** len(moved)
         sweep_cost = sweep_peak * (1 + sum(d**span for _, _, span, _ in fused))
@@ -620,7 +613,7 @@ def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> li
             if all(peak > PEAK_CAP for _, peak, _ in candidates):
                 # the letters are this word's own: a later word that fuses alike evaluates its own
                 candidates.append(_planned(ctx, placed + _letters(ctx, b)))
-                shared = False
+                del same[key]
             # under the cap the fewest multiply-adds; over it the smallest largest array
             _, peak, evaluate = min(candidates, key=lambda c: (max(c[1], PEAK_CAP), c[0]))
             if peak > PEAK_CAP and (not allow_large or peak >= _HOLDABLE):
@@ -631,19 +624,13 @@ def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> li
                         f"over the cap of 2^{PEAK_CAP.bit_length() - 1}; "
                         "pass allow_large=True (CLI: --allow-large) to override")
                 )
-        if shared:
-            same[key] = [n]
         if evaluate is not None:
             values[n] = _in_memory(evaluate, peak)
-        elif family:
-            _, lists, positions = sweeps.setdefault(frozenset(moved), (moved, [], []))
+        else:
+            lists, positions = sweeps.setdefault(frozenset(moved), ([], []))
             lists.append(fused)
             positions.append(n)
-        else:
-            values[n] = _in_memory(partial(_sweep, ctx, [fused], moved), sweep_peak)[0]
-    if not family:
-        return values
-    for moved, lists, positions in sweeps.values():
+    for moved, (lists, positions) in sweeps.items():
         for n, value in zip(positions, _in_memory(partial(_sweep, ctx, lists, moved), ctx.dim * d ** len(moved))):
             values[n] = value
     for n, *repeats in same.values():

@@ -8,7 +8,7 @@ from gyblink.enhancement import catalog_enhancement
 def fresh_plans():
     # rep keeps greedy plans per block layout for the life of the process; a
     # test that fakes _greedy_plan must not leave its fake plan to the next
-    rep._PLANS.clear()
+    rep._compiled.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import sys
 import threading
 import weakref
 from collections import Counter
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from gyblink.rep import (
     PEAK_CAP,
     SWEEP_GATE,
     _apply_block,
+    _compiled,
     _contract,
     _fuse,
     _greedy_plan,
@@ -551,11 +552,17 @@ def test_weight_block_objects_are_checked_once_a_call(monkeypatch):
     assert len(_place_blocks(ctx, blocks)) == ctx.factors - 3 and checked == [2] * 3
 
 
+def _layout(blocks):
+    # the position and span of each block, all _network reads of a block list
+    return [(pos, span) for _, pos, span, _ in blocks]
+
+
 def _contracted(ctx, blocks):
     # the greedy network over blocks, planned afresh, bypassing the kept plans
-    traced, legs, loop_factor = _network(ctx, blocks)
-    steps, _, _, program = _greedy_plan(legs, ctx.op.gtype.d)
-    return _contract(_tensors(ctx.op.gtype.d, blocks, traced), steps, program, loop_factor)
+    d = ctx.op.gtype.d
+    traced, legs, loop_factor = _network(d, ctx.factors, _layout(blocks))
+    steps, _, _, program = _greedy_plan(legs, d)
+    return _contract(_tensors(d, blocks, traced), steps, program, loop_factor)
 
 
 def _forced_traces(ctx, b, blocks):
@@ -601,7 +608,7 @@ def test_plan_at_the_cap_stays_on_the_network(monkeypatch):
     # exactly PEAK_CAP: the plan runs, not the ten times slower sweep
     ctx = make_context(build_r232(), 6)
     b = random_braid(6, 77, seed=1)
-    assert _greedy_plan(_network(ctx, _fuse(ctx, b, cyclic=True))[1], 2)[2] == PEAK_CAP
+    assert _greedy_plan(_network(2, ctx.factors, _layout(_fuse(ctx, b, cyclic=True)))[1], 2)[2] == PEAK_CAP
 
     def refuse(*args):
         raise AssertionError("the column sweep ran")
@@ -618,7 +625,7 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
     b = random_braid(4, 40, seed=56)
     word = _fuse(ctx, b, cyclic=True)
     sweep_cost = ctx.dim**2 * (1 + len(word) * ctx.op.gtype.dim)
-    flops = _greedy_plan(_network(ctx, word)[1], 2)[1]
+    flops = _greedy_plan(_network(2, ctx.factors, _layout(word))[1], 2)[1]
     assert len(word) < len(b) and sweep_cost >= SWEEP_GATE and flops >= sweep_cost
 
     def refuse(*args):
@@ -633,7 +640,7 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", 64)
     with pytest.raises(ResourceCapError):
         trace_with_weight(ctx, b)
-    _, letter_flops, letter_peak, _ = _greedy_plan(_network(ctx, _letters(ctx, b))[1], 2)
+    _, letter_flops, letter_peak, _ = _greedy_plan(_network(2, ctx.factors, _layout(_letters(ctx, b)))[1], 2)
     assert letter_peak == ctx.dim**2 and letter_flops < sweep_cost
     want = _contracted(ctx, _letters(ctx, b))
     seen = _recording_contract(monkeypatch)
@@ -663,7 +670,7 @@ def test_allow_large_runs_the_array_the_refusal_names(monkeypatch):
     b = random_braid(16, 320, seed=52)
     word = _fuse(ctx, b, cyclic=True)
     assert ctx.dim * 2 ** len(_moved_factors(word)) == 2**32
-    assert _greedy_plan(_network(ctx, word)[1], 2)[2] == 2**30
+    assert _greedy_plan(_network(2, ctx.factors, _layout(word))[1], 2)[2] == 2**30
     seen = []
     monkeypatch.setattr("gyblink.rep._sweep", lambda *args: seen.append("sweep"))
     monkeypatch.setattr("gyblink.rep._contract", lambda tensors, *rest: seen.append(len(tensors)))
@@ -721,8 +728,8 @@ def test_fused_plan_over_the_cap_falls_back_to_the_letter_network(monkeypatch):
     b = random_braid(8, 138, seed=1457)
     word = _fuse(ctx, b, cyclic=True)
     assert ctx.dim * 2 ** len(_moved_factors(word)) > PEAK_CAP
-    assert _greedy_plan(_network(ctx, word)[1], 2)[2] == 2**24
-    assert _greedy_plan(_network(ctx, _letters(ctx, b))[1], 2)[2] == 2**20
+    assert _greedy_plan(_network(2, ctx.factors, _layout(word))[1], 2)[2] == 2**24
+    assert _greedy_plan(_network(2, ctx.factors, _layout(_letters(ctx, b)))[1], 2)[2] == 2**20
     assert trace_with_weight(ctx, b) == _contracted(ctx, _letters(ctx, b))
     # refused once the letter network is over the cap too, naming its peak
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", 2**19)
@@ -769,7 +776,7 @@ def test_greedy_plans_are_pinned():
     # the word read open (weighted traces) and closed (the identity weight)
     digests = {}
     for name, blocks_of in (("_letters", _letters), ("_fuse", _fuse), ("cyclic _fuse", partial(_fuse, cyclic=True))):
-        plans = [_greedy_plan(_network(ctx, blocks)[1], ctx.op.gtype.d)[:3]
+        plans = [_greedy_plan(_network(ctx.op.gtype.d, ctx.factors, _layout(blocks))[1], ctx.op.gtype.d)[:3]
                  for ctx, blocks in _seeded_networks(300, 41, blocks_of)]
         assert sum(len(steps) for steps, _, _ in plans) > 3000
         digests[name] = hashlib.sha256(repr(plans).encode()).hexdigest()
@@ -786,7 +793,7 @@ def test_network_labels_join_two_tensors():
     # _contract assume
     for blocks_of in (_letters, _fuse):
         for ctx, blocks in _seeded_networks(300, 41, blocks_of):
-            legs = _network(ctx, blocks)[1]
+            legs = _network(ctx.op.gtype.d, ctx.factors, _layout(blocks))[1]
             assert all(len(set(ls)) == len(ls) for ls in legs)
             counts = Counter(x for ls in legs for x in ls)
             assert set(counts.values()) <= {2}
@@ -816,7 +823,7 @@ def test_lone_blocks_match_dense(monkeypatch):
             half = random_braid(n // 2, 3, rng), random_braid(n - n // 2, 3, rng)
             for b in (BraidWord(n, (int(rng.integers(1, n)),)), BraidWord(n, (-1,)), juxtapose(*half)):
                 for blocks in (None, [(mu, 1)] * ctx.factors):
-                    network = _network(ctx, _traced_blocks(ctx, b, blocks))
+                    network = _network(ctx.op.gtype.d, ctx.factors, _layout(_traced_blocks(ctx, b, blocks)))
                     traced += _traced_wires(ctx, network) > 0
                     want = _dense_trace(ctx, b, blocks)
                     assert abs(trace_with_weight(ctx, b, blocks) - want) <= 1e-12 * max(1.0, abs(want)), (op, b)
@@ -837,7 +844,7 @@ def test_contract_matches_tensordot_exactly():
     traced = 0
     for ctx, blocks in cases:
         d = ctx.op.gtype.d
-        network = _network(ctx, blocks)
+        network = _network(d, ctx.factors, _layout(blocks))
         traced += _traced_wires(ctx, network) > 0
         steps, _, _, program = _greedy_plan(network[1], d)
         tensors = _tensors(d, blocks, network[0])
@@ -884,7 +891,7 @@ def test_traces_match_each_word_alone(monkeypatch):
     weight = [(np.diag([1.0, 1.5]), 1)] * ctx.factors
     for blocks, plans, contracts, swept in ((None, 3, 4, 1), (weight, 6, 7, 0)):
         alone = [trace_with_weight(ctx, w, blocks) for w in words]
-        rep._PLANS.clear()  # count the family's own plans, not those its words left alone
+        rep._compiled.cache_clear()  # count the family's own plans, not those its words left alone
         calls = _counting(monkeypatch, "_greedy_plan", "_contract", "_sweep")
         assert traces(ctx, words, blocks) == alone
         assert calls == Counter(_greedy_plan=plans, _contract=contracts, _sweep=swept)
@@ -902,7 +909,7 @@ def test_traces_match_each_word_alone(monkeypatch):
     ctx = make_context(build_type1(0.3), 9)
     pair = [stabilize(b, sign) for sign in (1, -1)]
     alone = [trace_with_weight(ctx, w) for w in pair]
-    rep._PLANS.clear()
+    rep._compiled.cache_clear()
     calls = _counting(monkeypatch, "_greedy_plan", "_contract")
     assert traces(ctx, pair) == alone
     assert calls == Counter(_greedy_plan=1, _contract=2)
@@ -919,14 +926,14 @@ def test_a_layout_is_planned_once_per_process(monkeypatch):
     wide = (make_context(build_type1(0.3), 300), random_braid(300, 300, seed=2))
     cold = []
     for ctx, w in cases + [wide]:
-        rep._PLANS.clear()
+        rep._compiled.cache_clear()
         cold.append(trace_with_weight(ctx, w))
     assert len(_fuse(*wide, cyclic=True)) > 128
-    rep._PLANS.clear()
+    rep._compiled.cache_clear()
     calls = _counting(monkeypatch, "_greedy_plan", "_network")
     assert [trace_with_weight(ctx, w) for ctx, w in cases] == cold[:3]
     assert traces(cases[0][0], [b, b]) == [cold[0]] * 2
-    assert calls == Counter(_greedy_plan=1, _network=1) and len(rep._PLANS) == 1
+    assert calls == Counter(_greedy_plan=1, _network=1) and rep._compiled.cache_info().currsize == 1
     assert [trace_with_weight(*wide) for _ in range(2)] == [cold[3]] * 2
     assert calls == Counter(_greedy_plan=2, _network=2)
 
@@ -949,46 +956,60 @@ def test_plans_are_kept_per_d_factor_count_and_span():
     assert len({tuple(pos for _, pos, _, _ in blocks) for _, blocks in layouts}) == 2
     for n, (ctx, blocks) in enumerate(layouts * 2):
         flops, peak, evaluate = rep._planned(ctx, blocks)
-        assert len(rep._PLANS) == min(n + 1, len(cases))
-        fresh = _greedy_plan(_network(ctx, blocks)[1], ctx.op.gtype.d)[1:3]
+        assert rep._compiled.cache_info().currsize == min(n + 1, len(cases))
+        fresh = _greedy_plan(_network(ctx.op.gtype.d, ctx.factors, _layout(blocks))[1], ctx.op.gtype.d)[1:3]
         assert (flops, peak) == fresh and evaluate() == _contracted(ctx, blocks)
 
 
-def test_plans_past_the_bound_drop_the_oldest(monkeypatch):
+def _recording_compiles(monkeypatch, kept):
+    # keep at most ``kept`` compiled layouts; the list returned collects the
+    # key of every layout compiled, in order
+    compiled = []
+
+    def compile_(key):
+        compiled.append(key)
+        return _compiled.__wrapped__(key)
+
+    monkeypatch.setattr("gyblink.rep._compiled", lru_cache(maxsize=kept)(compile_))
+    return compiled
+
+
+def test_plans_past_the_bound_drop_the_least_recently_used(monkeypatch):
     # with room for three layouts, the fourth and fifth drop the first two;
-    # an evicted layout is planned again, to the same steps, and drops the
-    # oldest left
-    monkeypatch.setattr("gyblink.rep._PLANS_KEPT", 3)
+    # an evicted layout is compiled again, to the entry it had, and drops the
+    # least recently used left. A layout found kept after later ones were
+    # compiled counts as used then, so it outlives the next eviction
+    compiled = _recording_compiles(monkeypatch, 3)
     ctx = make_context(OPS[0], 6)
     layouts = [_letters(ctx, random_braid(6, 10, seed=s)) for s in range(5)]
-    kept = {}
-    for blocks in layouts:
+    for n, blocks in enumerate(layouts):
         rep._planned(ctx, blocks)
-        key = next(reversed(rep._PLANS))
-        kept[key] = rep._PLANS[key]
-        assert len(rep._PLANS) == min(len(kept), 3)
-    keys = list(kept)
-    assert len(keys) == 5 and list(rep._PLANS) == keys[2:]
-    calls = _counting(monkeypatch, "_greedy_plan")
-    rep._planned(ctx, layouts[0])
-    rep._planned(ctx, layouts[0])
-    assert calls == Counter(_greedy_plan=1)
-    assert list(rep._PLANS) == keys[3:] + keys[:1] and rep._PLANS[keys[0]] == kept[keys[0]]
+        assert rep._compiled.cache_info().currsize == min(n + 1, 3)
+    assert len(set(compiled)) == 5
+    for i in (0, 0):  # kept, least recently used first: 2 3 4, then 3 4 0
+        rep._planned(ctx, layouts[i])
+    assert compiled[5:] == compiled[:1]
+    assert rep._compiled(compiled[0]) == _compiled.__wrapped__(compiled[0])
+    for i in (3, 1, 3, 0):  # 4 0 3, then 0 3 1; 3 and 0 are found kept
+        rep._planned(ctx, layouts[i])
+    assert compiled[6:] == compiled[1:2]
+    assert rep._compiled.cache_info().currsize == 3
 
 
 def test_threads_share_the_kept_plans(monkeypatch):
     # more threads than CPUs plan more layouts than are kept, switching
     # often: evictions do not race, the bound holds, and each kept entry and
     # each evaluation is the one its layout gets alone
-    monkeypatch.setattr("gyblink.rep._PLANS_KEPT", 2)
+    compiled = _recording_compiles(monkeypatch, 2)
     ctx = make_context(OPS[0], 6)
     layouts = [_letters(ctx, random_braid(6, 8, seed=s)) for s in range(5)]
-    want, entries = [], {}  # entries: the one a layout's compile alone keeps
+    want = []
     for blocks in layouts:
-        rep._PLANS.clear()
+        rep._compiled.cache_clear()
         flops, peak, evaluate = rep._planned(ctx, blocks)
         want.append((flops, peak, evaluate()))
-        entries.update(rep._PLANS)
+    # per layout, its key and the entry its compile alone keeps
+    entries = [(key, _compiled.__wrapped__(key)) for key in compiled]
     failures, sizes = [], []
 
     def work(k):
@@ -996,9 +1017,10 @@ def test_threads_share_the_kept_plans(monkeypatch):
             for n in range(1000):
                 i = (n + k) % len(layouts)
                 flops, peak, evaluate = rep._planned(ctx, layouts[i])
-                if (flops, peak, evaluate()) != want[i] or any(entries[key] != v for key, v in list(rep._PLANS.items())):
+                key, entry = entries[i]
+                if (flops, peak, evaluate()) != want[i] or rep._compiled(key) != entry:
                     failures.append(i)
-                sizes.append(len(rep._PLANS))
+                sizes.append(rep._compiled.cache_info().currsize)
         except Exception as exc:  # a race surfaces here, in any thread
             failures.append(exc)
 
@@ -1060,6 +1082,21 @@ def test_refusals_in_a_family_come_in_word_order(monkeypatch):
     with pytest.raises(ShapeError):
         traces(ctx, fits + [random_braid(5, 3, seed=0)])
     assert traces(ctx, []) == []
+    # the sweeps run once every word is placed, so a sweep that runs out of
+    # memory is raised after the refusals: sigma_1^8 alone runs out, but
+    # before a refused word the call raises that word's refusal
+    def no_memory(*args):
+        raise MemoryError("stub")
+
+    monkeypatch.setattr("gyblink.rep._sweep", no_memory)
+    power = BraidWord(6, (1,) * 8)
+    with pytest.raises(ResourceCapError, match="^ran out of memory"):
+        trace_with_weight(ctx, power)
+    with pytest.raises(ResourceCapError) as alone:
+        trace_with_weight(ctx, refused[0])
+    with pytest.raises(ResourceCapError) as family:
+        traces(ctx, [power, refused[0]])
+    assert str(family.value) == str(alone.value)
 
 
 def test_sweep_keeps_no_more_states_than_words(monkeypatch):
@@ -1128,7 +1165,7 @@ def test_a_kept_program_gives_the_bits_of_a_cold_one(monkeypatch, case):
     # program back without _network or _greedy_plan and gives the same bits,
     # those of a plan made afresh and contracted
     ctx, blocks = _program_cases()[case]
-    traced, legs, _ = _network(ctx, blocks)
+    traced, legs, _ = _network(ctx.op.gtype.d, ctx.factors, _layout(blocks))
     if case == "lone":
         assert traced
     if case == "ids":
@@ -1152,7 +1189,7 @@ def test_kept_programs_of_the_fallback_and_a_weight_trace_alike(monkeypatch):
     cases = [(make_context(build_r232(), 8), random_braid(8, 138, seed=1457), None),
              (make_context(OPS[1], 8), random_braid(8, 30, seed=9), [(mu, 1)] * 9)]
     for ctx, b, blocks in cases:
-        rep._PLANS.clear()
+        rep._compiled.cache_clear()
         cold = trace_with_weight(ctx, b, blocks)
         calls = _counting(monkeypatch, "_network", "_contract")
         assert repr(trace_with_weight(ctx, b, blocks)) == repr(cold)

@@ -48,7 +48,9 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise BraidParseError(f"strand count must be positive, got {self.strands}")
-        letters = tuple(int(g) for g in self.letters)
+        # from a list: tuple() of a generator grows its tuple by resizing, and
+        # the resized tuples pile up in the interpreter's tuple free lists
+        letters = tuple([int(g) for g in self.letters])
         object.__setattr__(self, "letters", letters)
         for g in letters:
             if g == 0 or abs(g) > self.strands - 1:

@@ -42,20 +42,26 @@ chosen per call from the list and the context alone:
   one ``np.dot``, as ``np.tensordot`` would, in its floating-point order,
   skipping a transpose whose order is the identity. Its cost follows the
   plan's largest intermediates, not ``dim^2``, so it reaches words on
-  dozens of strands.
+  dozens of strands. Under the identity weight the trace is cyclic in the
+  blocks too, so their network is planned from the least rotation of their
+  positions (Booth's algorithm): every rotation of a word that fuses to a
+  rotation of one layout shares that layout's plan and gives its bits. The
+  value moves only by rounding, against the blocks planned as given.
 
 ``traces`` alone decides size, word by word: of the sweep, the fused
-network and, when neither fits, the network of one tensor per letter, the
-one with the fewest multiply-adds whose largest single array fits
-``PEAK_CAP`` runs. When none fits it raises ResourceCapError naming the
-smallest largest array among them, or with ``allow_large`` runs that
-evaluator anyway, so that option never changes the path of a word that
-fits. The cap bounds one array, not the sum of those alive together, so the
-sweep's peak memory can reach twice the cap, plus one array per branch a
-family of sweep words keeps waiting. A strand count whose dimension
-overflows a float, and a word whose smallest largest array no array can
-hold (``_HOLDABLE``), are refused whatever ``allow_large`` says; an
-evaluation that runs out of memory raises ResourceCapError too.
+network (from the least rotation under the identity weight; when that and
+the sweep are both over the cap, also as given) and, when none of them
+fits, the network of one tensor per letter, the one with the fewest
+multiply-adds whose largest single array fits ``PEAK_CAP`` runs. When none
+fits it raises ResourceCapError naming the smallest largest array among
+them, or with ``allow_large`` runs that evaluator anyway, so that option
+never changes the path of a word that fits. The cap bounds one array, not
+the sum of those alive together, so the sweep's peak memory can reach
+twice the cap, plus one array per branch a family of sweep words keeps
+waiting. A strand count whose dimension overflows a float, and a word
+whose smallest largest array no array can hold (``_HOLDABLE``), are
+refused whatever ``allow_large`` says; an evaluation that runs out of
+memory raises ResourceCapError too.
 
 Both are deterministic: the sweep is one fixed sequence of array
 operations and the plan breaks cost ties on tensor ids, so one word
@@ -118,12 +124,14 @@ SWEEP_GATE = 1 << 19
 PEAK_CAP = 1 << 22
 
 #: Block layouts whose compiled networks are kept, the least recently used
-#: dropped first. On the ``wide-trace`` benchmark (16-word pool per cell,
-#: random rotation and theta; 2-CPU x86-64 host) 7 s segments of 10400-13200
-#: ops met 3800-4200 distinct layouts; keeping 1024, 2048, 4096 and 8192 of
-#: them served 29-30, 48, 62-66 and 66-68 % of their plans. An entry (key,
-#: steps, program, traced blocks, loop factor, multiply-adds, peak and the
-#: cache's own link) holds about 1016 bytes (tracemalloc), 4.2 MB at this bound.
+#: dropped first. Replaying 11033 ``wide-trace`` benchmark ops (16-word pool
+#: per cell, random rotation and theta) met 690-693 distinct layouts, each
+#: word's rotations planned at one least rotation; keeping 256, 512, 1024
+#: and 4096 of them served 62-63, 91, 94 and 94 % of their plans (two
+#: seeds). Planned as given, the same ops met about 3950 layouts, and 4096
+#: served 63-64 %. An entry (key, steps, program, traced blocks, loop factor,
+#: multiply-adds, peak and the cache's own link) holds about 1016 bytes
+#: (tracemalloc), 4.2 MB at this bound.
 _PLANS_KEPT = 4096
 
 # per operator, its powers r^e by exponent e, filled as words need them
@@ -562,6 +570,30 @@ def _planned(ctx: RepContext, blocks):
     return flops, peak, evaluate
 
 
+def _least_rotation(seq) -> int:
+    # Booth's algorithm (Inf. Process. Lett. 10 (1980) 240-242): the least r
+    # for which seq[r:] + seq[:r] is the least rotation of seq, in linear
+    # time. fail is the failure function of the least rotation found so far,
+    # which starts at k of the doubled sequence
+    s = seq + seq
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and c != s[k]:
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
 def _in_memory(evaluate, peak: int):
     # evaluate(), refusing as too large, not failing, one that runs out of
     # memory, as an allow_large evaluation past the machine's memory does
@@ -583,7 +615,11 @@ def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> li
     refusal, whatever its word's place. What the words share is done once,
     as the module docstring describes. Network plans come from the
     per-layout plans kept across calls, so a family and its words alone
-    share them too.
+    share them too. An identity-weight network is planned at the least
+    rotation of its block layout, so the rotations of a word share one
+    plan; when that plan and the sweep are both over the cap, the blocks as
+    given are the fallback, before the network of the letters. A weighted
+    trace plans its blocks in the order they act.
     """
     for b in words:
         if b.strands != ctx.n:
@@ -607,9 +643,15 @@ def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> li
         sweep_cost = sweep_peak * (1 + sum(d**span for _, _, span, _ in fused))
         evaluate = None  # the sweep
         if sweep_cost >= SWEEP_GATE or sweep_peak > PEAK_CAP:
-            # (multiply-adds, largest array, evaluation), ties to the first. The letter network
-            # can plan a lower peak than the fused one; planning it for every word costs too much
-            candidates = [(sweep_cost, sweep_peak, None), _planned(ctx, fused)]
+            # (multiply-adds, largest array, evaluation), ties to the first. Under the identity
+            # weight the trace is cyclic, so the fused blocks are planned from the least rotation
+            # of their positions, which the rotations of a word share. The blocks as given, and
+            # then the letter network, can plan a lower peak; planning them for every word costs
+            # too much
+            r = 0 if placed else _least_rotation([pos for _, pos, _, _ in fused])
+            candidates = [(sweep_cost, sweep_peak, None), _planned(ctx, fused[r:] + fused[:r])]
+            if r and all(peak > PEAK_CAP for _, peak, _ in candidates):
+                candidates.append(_planned(ctx, fused))
             if all(peak > PEAK_CAP for _, peak, _ in candidates):
                 # the letters are this word's own: a later word that fuses alike evaluates its own
                 candidates.append(_planned(ctx, placed + _letters(ctx, b)))
@@ -652,8 +694,9 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
         allow_large: where no evaluator fits ``PEAK_CAP``, run the one
             whose largest array is smallest, the one the refusal names,
             instead of raising ResourceCapError. Otherwise the cheapest that
-            fits runs: the sweep, the fused network or, when neither fits,
-            the network of the letters.
+            fits runs: the sweep, the fused network (from the least
+            rotation of its layout under the identity weight, then as
+            given) or, when none fits, the network of the letters.
 
     Returns:
         ``tr(rho(b) . W)`` where ``W`` is the Kronecker product of the blocks.

@@ -24,6 +24,7 @@ from gyblink.rep import (
     _contract,
     _fuse,
     _greedy_plan,
+    _least_rotation,
     _letters,
     _moved_factors,
     _network,
@@ -557,6 +558,13 @@ def _layout(blocks):
     return [(pos, span) for _, pos, span, _ in blocks]
 
 
+def _rotated(blocks):
+    # the fused blocks of a closed word in the order traces plans them: from
+    # the least rotation of their positions
+    r = _least_rotation([pos for _, pos, _, _ in blocks])
+    return blocks[r:] + blocks[:r]
+
+
 def _contracted(ctx, blocks):
     # the greedy network over blocks, planned afresh, bypassing the kept plans
     d = ctx.op.gtype.d
@@ -619,13 +627,14 @@ def test_plan_at_the_cap_stays_on_the_network(monkeypatch):
 
 
 def test_costly_plan_falls_back_to_sweep(monkeypatch):
-    # a long word on few factors: the greedy plan of its fused blocks needs
-    # more multiply-adds than the column sweep over them, so the sweep must run
+    # a long word on few factors: the greedy plan of its fused blocks, from
+    # their least rotation, needs more multiply-adds than the column sweep
+    # over them, so the sweep must run
     ctx = make_context(build_r232(), 4)
-    b = random_braid(4, 40, seed=56)
+    b = random_braid(4, 40, seed=344)
     word = _fuse(ctx, b, cyclic=True)
     sweep_cost = ctx.dim**2 * (1 + len(word) * ctx.op.gtype.dim)
-    flops = _greedy_plan(_network(2, ctx.factors, _layout(word))[1], 2)[1]
+    flops = _greedy_plan(_network(2, ctx.factors, _layout(_rotated(word)))[1], 2)[1]
     assert len(word) < len(b) and sweep_cost >= SWEEP_GATE and flops >= sweep_cost
 
     def refuse(*args):
@@ -635,8 +644,9 @@ def test_costly_plan_falls_back_to_sweep(monkeypatch):
     want = _sweep(ctx, [word], _moved_factors(word))[0]
     assert trace_with_weight(ctx, b) == want
     # with nothing under the cap, allow_large runs the smallest largest array:
-    # the letter network ties the sweep at 16,384 elements and needs fewer
-    # multiply-adds, 1,938,944 against 3,424,256
+    # the letter network ties the sweep and the rotated plan at 16,384
+    # elements and needs fewer multiply-adds, 2,865,920 against 3,293,184 and
+    # 3,377,408; the blocks as given peak at 65,536
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", 64)
     with pytest.raises(ResourceCapError):
         trace_with_weight(ctx, b)
@@ -663,18 +673,20 @@ def _recording_contract(monkeypatch):
 
 def test_allow_large_runs_the_array_the_refusal_names(monkeypatch):
     # a type1 word none of whose evaluators fits: the sweep holds 2^32
-    # elements with 2^42.5 multiply-adds, the fused plan peaks at 2^30 with
-    # 2^44.0. The refusal names 2^30, and allow_large runs that fused plan, not
-    # the cheaper sweep; both evaluators are stubbed, so nothing large runs
+    # elements with 2^42.5 multiply-adds, the fused plan from the least
+    # rotation peaks at 2^28 with 2^40.4, and the blocks as given at 2^30 with
+    # 2^44.0. The refusal names 2^28, and allow_large runs that rotated plan,
+    # not the cheaper sweep; both evaluators are stubbed, so nothing large runs
     ctx = make_context(build_type1(0.4), 16)
     b = random_braid(16, 320, seed=52)
     word = _fuse(ctx, b, cyclic=True)
     assert ctx.dim * 2 ** len(_moved_factors(word)) == 2**32
+    assert _greedy_plan(_network(2, ctx.factors, _layout(_rotated(word)))[1], 2)[2] == 2**28
     assert _greedy_plan(_network(2, ctx.factors, _layout(word))[1], 2)[2] == 2**30
     seen = []
     monkeypatch.setattr("gyblink.rep._sweep", lambda *args: seen.append("sweep"))
     monkeypatch.setattr("gyblink.rep._contract", lambda tensors, *rest: seen.append(len(tensors)))
-    with pytest.raises(ResourceCapError, match=r"about 2\^30 elements, over the cap of 2\^22"):
+    with pytest.raises(ResourceCapError, match=r"about 2\^28 elements, over the cap of 2\^22"):
         trace_with_weight(ctx, b)
     trace_with_weight(ctx, b, allow_large=True)
     assert seen == [len(word)]
@@ -682,11 +694,15 @@ def test_allow_large_runs_the_array_the_refusal_names(monkeypatch):
 
 def test_allow_large_keeps_the_path_of_a_word_that_fits(monkeypatch):
     # under a cap of 1024 neither the sweep nor the 14-block fused network of
-    # this word fits, but its 21-letter network does. allow_large only
-    # replaces a refusal, so it runs that same network, not the fused one
+    # this word fits, from the least rotation or as given, but its 21-letter
+    # network does. allow_large only replaces a refusal, so it runs that same
+    # network, not a fused one
     ctx = make_context(build_type1(0.3), 6)
-    b = random_braid(6, 21, seed=891)
-    assert len(_fuse(ctx, b, cyclic=True)) == 14
+    b = random_braid(6, 21, seed=2696)
+    word = _fuse(ctx, b, cyclic=True)
+    assert len(word) == 14 and _layout(_rotated(word)) != _layout(word)
+    for blocks in (_rotated(word), word):
+        assert _greedy_plan(_network(2, ctx.factors, _layout(blocks))[1], 2)[2] > 1024
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", 1024)
     seen = _recording_contract(monkeypatch)
     capped = trace_with_weight(ctx, b)
@@ -722,19 +738,108 @@ def test_allow_large_changes_no_value_that_fits(monkeypatch, cap):
 
 def test_fused_plan_over_the_cap_falls_back_to_the_letter_network(monkeypatch):
     # an r232 word the sweep cannot hold whose greedy plan peaks at 2^24
-    # elements over its fused blocks but at 2^20 over one tensor per letter:
-    # the letter network runs, as it did before words were fused
+    # elements over its fused blocks, from their least rotation or as given,
+    # but at 2^22, the cap, over one tensor per letter: the letter network
+    # runs, as it did before words were fused
     ctx = make_context(build_r232(), 8)
-    b = random_braid(8, 138, seed=1457)
+    b = random_braid(8, 138, seed=636)
     word = _fuse(ctx, b, cyclic=True)
     assert ctx.dim * 2 ** len(_moved_factors(word)) > PEAK_CAP
-    assert _greedy_plan(_network(2, ctx.factors, _layout(word))[1], 2)[2] == 2**24
-    assert _greedy_plan(_network(2, ctx.factors, _layout(_letters(ctx, b)))[1], 2)[2] == 2**20
+    for blocks in (_rotated(word), word):
+        assert _greedy_plan(_network(2, ctx.factors, _layout(blocks))[1], 2)[2] == 2**24
+    assert _greedy_plan(_network(2, ctx.factors, _layout(_letters(ctx, b)))[1], 2)[2] == PEAK_CAP
     assert trace_with_weight(ctx, b) == _contracted(ctx, _letters(ctx, b))
     # refused once the letter network is over the cap too, naming its peak
-    monkeypatch.setattr("gyblink.rep.PEAK_CAP", 2**19)
-    with pytest.raises(ResourceCapError, match=r"about 2\^20 elements, over the cap of 2\^19"):
+    monkeypatch.setattr("gyblink.rep.PEAK_CAP", 2**21)
+    with pytest.raises(ResourceCapError, match=r"about 2\^22 elements, over the cap of 2\^21"):
         trace_with_weight(ctx, b)
+
+
+class _Compared:
+    # a sequence element that counts the comparisons made on it in calls[0]
+    def __init__(self, value, calls):
+        self.value, self.calls = value, calls
+
+    def __ne__(self, other):
+        self.calls[0] += 1
+        return self.value != other.value
+
+    def __lt__(self, other):
+        self.calls[0] += 1
+        return self.value < other.value
+
+
+def test_least_rotation_matches_brute_force():
+    # the least r whose rotation seq[r:] + seq[:r] is least, as min over all
+    # rotations finds it: random, periodic, length-1 and all-equal sequences.
+    # On 8001 elements Booth's algorithm makes at most 6 comparisons per
+    # element, where a quadratic search would make millions
+    def least(seq):
+        return min(range(len(seq)), key=lambda r: seq[r:] + seq[:r])
+
+    rng = np.random.default_rng(91)
+    cases = [[1, 2, 1, 2], [2, 1, 2, 1], [7], [5] * 9, [1, 1, 2, 1, 1, 2], [3, 1, 3, 1, 3]]
+    cases += [[int(x) for x in rng.integers(0, high, size=size)] for high in (2, 3, 30) for size in range(1, 40)]
+    for seq in cases:
+        assert _least_rotation(seq) == least(seq), seq
+    wide = [int(x) for x in rng.integers(0, 2, size=8001)]
+    for seq, want in ((wide, least(wide)), ([1] * 8000 + [0], 8000), ([4] * 8001, 0), ([0, 1] * 4000 + [0], 8000)):
+        calls = [0]
+        assert _least_rotation([_Compared(x, calls) for x in seq]) == want
+        assert calls[0] <= 6 * len(seq)
+
+
+def test_rotations_of_a_word_share_one_plan(monkeypatch):
+    # a 40-letter word on 9 strands takes the network; most of its rotations
+    # fuse to rotations of its blocks, whose least rotation is one layout.
+    # They compile one plan and give one set of bits, within rounding of the
+    # blocks contracted as given
+    ctx = make_context(build_type1(0.3), 9)
+    b = random_braid(9, 40, seed=5)
+    keys = _keys(ctx, b)
+    rotations = []
+    for r in range(len(b)):
+        w = BraidWord(9, b.letters[r:] + b.letters[:r])
+        if any(_keys(ctx, w) == keys[s:] + keys[:s] for s in range(len(keys))):
+            rotations.append(w)
+    assert len(rotations) == 31
+    monkeypatch.setattr("gyblink.rep._sweep", lambda *args: pytest.fail("the column sweep ran"))
+    values = [trace_with_weight(ctx, w) for w in rotations]
+    assert rep._compiled.cache_info().currsize == 1
+    assert len({repr(v) for v in values}) == 1
+    want = _contracted(ctx, _fuse(ctx, b, cyclic=True))
+    assert abs(values[0] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_weighted_trace_is_not_rotated():
+    # a weight need not commute with the word, so a weighted trace plans its
+    # blocks in the order they act, though their least rotation starts
+    # elsewhere (the identity on the first factor leaves no weight block
+    # there): its bits are the plan of the blocks as given
+    ctx = make_context(OPS[1], 8)
+    b = random_braid(8, 30, seed=11)
+    blocks = [(np.eye(2), 1)] + [(np.diag([1.0, 1.5j]), 1)] * (ctx.factors - 1)
+    fused = _traced_blocks(ctx, b, blocks)
+    assert _least_rotation([pos for _, pos, _, _ in fused]) != 0
+    assert repr(trace_with_weight(ctx, b, blocks)) == repr(_contracted(ctx, fused))
+
+
+def test_rotated_plan_over_the_cap_falls_back_to_the_blocks_as_given(monkeypatch):
+    # a type1 word on 16 strands the sweep cannot hold, whose fused blocks
+    # from their least rotation plan a peak of 2^26 but as given one of 2^22,
+    # the cap: the blocks as given run, and the word is not refused. _sweep
+    # and _contract are stubbed, so nothing large runs
+    ctx = make_context(build_type1(0.3), 16)
+    b = random_braid(16, 320, seed=7)
+    word = _fuse(ctx, b, cyclic=True)
+    assert ctx.dim * 2 ** len(_moved_factors(word)) > PEAK_CAP
+    plans = [_greedy_plan(_network(2, ctx.factors, _layout(blocks))[1], 2) for blocks in (_rotated(word), word)]
+    assert [peak for _, _, peak, _ in plans] == [2**26, PEAK_CAP]
+    seen = []
+    monkeypatch.setattr("gyblink.rep._sweep", lambda *args: seen.append("sweep"))
+    monkeypatch.setattr("gyblink.rep._contract", lambda tensors, steps, program, loops: seen.append(program))
+    trace_with_weight(ctx, b)
+    assert seen == [plans[1][3]] and plans[0][3] != plans[1][3]
 
 
 @pytest.mark.parametrize("name", ["type1", "type2", "type3", "r232"])
@@ -874,13 +979,13 @@ def _keys(ctx, b):
 def test_traces_match_each_word_alone(monkeypatch):
     # one call gives each word's trace_with_weight to the bit. On 8 strands:
     # a long type1 word, three conjugates, two of which fuse to its blocks in
-    # the same order, its mirror
+    # the same order and the third to a rotation of its layout, its mirror
     # image (the same block layout), another long word, a short word on the
     # sweep and repeats. Under the identity weight those two conjugates and
-    # the repeats are evaluated once and the mirror image shares the word's
-    # plan. A weight reads every word open and moves every factor: all take
-    # the network, only the repeats coincide, and the mirror image still
-    # shares the plan
+    # the repeats are evaluated once, and the mirror image and the third
+    # conjugate share the word's plan. A weight reads every word open and
+    # moves every factor: all take the network, only the repeats coincide,
+    # and the mirror image still shares the plan
     ctx = make_context(build_type1(0.3), 8)
     rng = np.random.default_rng(5)
     b, short = random_braid(8, 40, rng), random_braid(8, 4, rng)
@@ -888,8 +993,10 @@ def test_traces_match_each_word_alone(monkeypatch):
     mirror = BraidWord(8, tuple(-g for g in b.letters))
     words = [b, short, *conjugates, short, mirror, random_braid(8, 30, rng), b]
     assert [_keys(ctx, c) == _keys(ctx, b) for c in conjugates] == [True, True, False]
+    word, other = (_fuse(ctx, w, cyclic=True) for w in (b, conjugates[2]))
+    assert _layout(other) != _layout(word) and _layout(_rotated(other)) == _layout(_rotated(word))
     weight = [(np.diag([1.0, 1.5]), 1)] * ctx.factors
-    for blocks, plans, contracts, swept in ((None, 3, 4, 1), (weight, 6, 7, 0)):
+    for blocks, plans, contracts, swept in ((None, 2, 4, 1), (weight, 6, 7, 0)):
         alone = [trace_with_weight(ctx, w, blocks) for w in words]
         rep._compiled.cache_clear()  # count the family's own plans, not those its words left alone
         calls = _counting(monkeypatch, "_greedy_plan", "_contract", "_sweep")
@@ -1060,8 +1167,8 @@ def test_refusals_in_a_family_come_in_word_order(monkeypatch):
     # raises alone, and allow_large still only replaces refusals
     monkeypatch.setattr("gyblink.rep.PEAK_CAP", 1024)
     ctx = make_context(build_type1(0.3), 6)
-    b = random_braid(6, 21, seed=891)
-    conj = conjugate(b, random_braid(6, 2, seed=3))
+    b = random_braid(6, 21, seed=2696)
+    conj = conjugate(b, random_braid(6, 2, seed=0))
     assert _keys(ctx, conj) == _keys(ctx, b)
     fits = [random_braid(6, 10, seed=0), b, conj, random_braid(6, 3, seed=1)]
     refused = [random_braid(6, 36, seed=0), random_braid(6, 30, seed=1)]
@@ -1186,7 +1293,7 @@ def test_kept_programs_of_the_fallback_and_a_weight_trace_alike(monkeypatch):
     # trace on the network path give the bits of their cold calls when a
     # later call finds their programs kept
     mu = np.diag([1.0, 1.5j])
-    cases = [(make_context(build_r232(), 8), random_braid(8, 138, seed=1457), None),
+    cases = [(make_context(build_r232(), 8), random_braid(8, 138, seed=636), None),
              (make_context(OPS[1], 8), random_braid(8, 30, seed=9), [(mu, 1)] * 9)]
     for ctx, b, blocks in cases:
         rep._compiled.cache_clear()

@@ -44,7 +44,7 @@ chosen per call from the list and the context alone:
   plan's largest intermediates, not ``dim^2``, so it reaches words on
   dozens of strands. Under the identity weight the trace is cyclic in the
   blocks too, so their network is planned from the least rotation of their
-  positions (Booth's algorithm): every rotation of a word that fuses to a
+  positions (a two-pointer scan): every rotation of a word that fuses to a
   rotation of one layout shares that layout's plan and gives its bits. The
   value moves only by rounding, against the blocks planned as given.
 
@@ -57,11 +57,11 @@ fits it raises ResourceCapError naming the smallest largest array among
 them, or with ``allow_large`` runs that evaluator anyway, so that option
 never changes the path of a word that fits. The cap bounds one array, not
 the sum of those alive together, so the sweep's peak memory can reach
-twice the cap, plus one array per branch a family of sweep words keeps
-waiting. A strand count whose dimension overflows a float, and a word
-whose smallest largest array no array can hold (``_HOLDABLE``), are
-refused whatever ``allow_large`` says; an evaluation that runs out of
-memory raises ResourceCapError too.
+twice the cap, and three times it in a family of sweep words, whose shared
+state stays alive beside each word's own. A strand count whose dimension
+overflows a float, and a word whose smallest largest array no array can
+hold (``_HOLDABLE``), are refused whatever ``allow_large`` says; an
+evaluation that runs out of memory raises ResourceCapError too.
 
 Both are deterministic: the sweep is one fixed sequence of array
 operations and the plan breaks cost ties on tensor ids, so one word
@@ -70,11 +70,11 @@ always takes the same path with the same floating-point order.
 ``traces`` takes the words of one relation check (a word and its
 conjugates, two stabilizations, a crossing triple) on one context under one
 weight, and does what they share once, exactly: words whose fused block
-lists match block for block are evaluated once; the sweep runs the lists
-that move the same factors as a prefix tree, applying each shared leading
-block once. Every word still meets the same operations on the same data in
-the same order, so each value is the bits ``trace_with_weight``, its
-one-word case, gives.
+lists match block for block are evaluated once; of the lists that move the
+same factors, the sweep applies the leading blocks all of them start with
+once and runs the rest of each from that state. Every word still meets the
+same operations on the same data in the same order, so each value is the
+bits ``trace_with_weight``, its one-word case, gives.
 
 Networks are compiled once per block layout and kept for the life of the
 process, across calls: the legs of a network, the blocks it traces alone
@@ -120,7 +120,8 @@ SWEEP_GATE = 1 << 19
 #: Largest single array, in complex elements, a trace may create without
 #: ``allow_large``: the sweep's ``dim * d^M`` (64 MiB) at dimension 2048, or
 #: 4096 for identity-weight (2, 3, 1) family words (11 strands), so all such
-#: words evaluate. The sweep keeps two such arrays alive, a 128 MiB peak.
+#: words evaluate. The sweep keeps two such arrays alive, a 128 MiB peak, and
+#: a family of sweep words three.
 PEAK_CAP = 1 << 22
 
 #: Block layouts whose compiled networks are kept, the least recently used
@@ -310,13 +311,10 @@ def _sweep(ctx: RepContext, lists, moved) -> list[complex]:
     # The trace of each block list, all of which move the factors ``moved``.
     # One column per label of those factors, summing the basis vectors with
     # those labels; diag: each row's flat position in its moved labels' column.
-    # The lists run as a prefix tree: a group of lists that agree on their
-    # blocks before ``depth`` (by object and position) shares one state, and
-    # splits by the block at ``depth``. All branches but one wait on the
-    # pending stack with the shared state, which is dropped once the last of
-    # them starts, so no more states are alive than the lists left to trace.
-    # A group of one list, as a lone list is, runs the rest of its blocks with
-    # no bookkeeping.
+    # The blocks every list starts with (by object and position) run once, and
+    # each list runs the rest of its own from that shared state, so at most
+    # three states are alive: the shared one, a list's and the one it makes.
+    # A lone list is all shared run.
     d = ctx.op.gtype.d
     cols = d ** len(moved)
     if len(moved) == ctx.factors:
@@ -326,32 +324,22 @@ def _sweep(ctx: RepContext, lists, moved) -> list[complex]:
         diag = (np.arange(0, ctx.dim * cols, cols).reshape((d,) * ctx.factors) + label).reshape(-1)
     state = np.zeros((ctx.dim, cols), dtype=np.complex128)
     state.put(diag, 1)
-    values = [None] * len(lists)
-    pending = []  # (shared state, its depth, the lists of one branch from it)
-    depth, group = 0, range(len(lists))
-    while True:
-        while len(group) > 1:
-            branches = {}
-            for n in group:
-                blocks = lists[n]
-                if len(blocks) == depth:
-                    values[n] = _closed(state, diag)
-                else:
-                    branches.setdefault((id(blocks[depth][0]), blocks[depth][1]), []).append(n)
-            waiting = list(branches.values())
-            group = waiting.pop() if waiting else ()
-            pending += [(state, depth, rest) for rest in waiting]
-            if group:
-                mat, pos, _, _ = lists[group[0]][depth]
-                state = _apply_block(mat, pos, state, d)
-                depth += 1
-        for n in group:
-            for mat, pos, _, _ in lists[n][depth:]:
-                state = _apply_block(mat, pos, state, d)
-            values[n] = _closed(state, diag)
-        if not pending:
-            return values
-        state, depth, group = pending.pop()
+    first = lists[0]
+    common = min(map(len, lists))  # the number of blocks every list starts with
+    for blocks in lists[1:]:
+        for i in range(common):
+            if blocks[i][0] is not first[i][0] or blocks[i][1] != first[i][1]:
+                common = i
+                break
+    for mat, pos, _, _ in first[:common]:
+        state = _apply_block(mat, pos, state, d)
+    values = []
+    for blocks in lists:
+        own = state
+        for mat, pos, _, _ in blocks[common:]:
+            own = _apply_block(mat, pos, own, d)
+        values.append(_closed(own, diag))
+    return values
 
 
 def _closed(state: np.ndarray, diag: np.ndarray) -> complex:
@@ -571,27 +559,25 @@ def _planned(ctx: RepContext, blocks):
 
 
 def _least_rotation(seq) -> int:
-    # Booth's algorithm (Inf. Process. Lett. 10 (1980) 240-242): the least r
-    # for which seq[r:] + seq[:r] is the least rotation of seq, in linear
-    # time. fail is the failure function of the least rotation found so far,
-    # which starts at k of the doubled sequence
-    s = seq + seq
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and c != s[k]:
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
+    # The least r for which seq[r:] + seq[:r] is the least rotation of seq, by
+    # a two-pointer scan of fewer than 3 len(seq) steps: every start before j
+    # but i is ruled out, and the rotations from i and j agree on their first
+    # k elements. Where they first differ, the larger rotation rules out its
+    # own start and the k after it. Where they agree on all n, seq repeats
+    # with period j - i, so no later start is less than i
+    n = len(seq)
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a != b:
+            if b < a:
+                i, j = j, max(j + 1, i + k + 1)
+            else:
+                j += k + 1
+            k = 0
         else:
-            fail[j - k] = i + 1
-    return k
+            k += 1
+    return i
 
 
 def _in_memory(evaluate, peak: int):

@@ -10,11 +10,12 @@ components and linking numbers alone.
 ``homfly`` evaluates the HOMFLY-PT polynomial of a closed braid at one
 point through the Hecke algebra and Ocneanu's trace.
 
-``markov_ratios`` gives ``T(b sigma_n) / T(b)`` and ``T(b sigma_n^-1) / T(b)``
-for an operator given as a matrix and its type, ``T`` the plain trace of the
-dense representation built from ``np.kron`` embeddings: with the identity
-``mu``, the Markov move fixes them to the enhancement weights' ``alpha beta``
-and ``beta / alpha``.
+``kron_representation`` is the dense matrix of a braid for an operator
+given as a matrix, its inverse and its type, each letter embedded with
+``np.kron``. ``markov_ratios`` gives ``T(b sigma_n) / T(b)`` and
+``T(b sigma_n^-1) / T(b)``, ``T`` its plain trace: with the identity ``mu``,
+the Markov move fixes them to the enhancement weights' ``alpha beta`` and
+``beta / alpha``.
 
 ``tensordot_contract`` is the reference for ``rep._contract``: it runs the
 same network and plan, but each pairwise step through ``np.tensordot``. It
@@ -182,15 +183,23 @@ def tensordot_contract(network, steps) -> complex:
     return value
 
 
-def _dense_trace(r: np.ndarray, inv: np.ndarray, d: int, k: int, m: int, strands: int, letters) -> complex:
-    # generator i acts on the k factors from m (i - 1), of k + m (strands - 2)
-    factors = k + m * (strands - 2)
+def kron_representation(r: np.ndarray, inv: np.ndarray, d: int, k: int, m: int, b: BraidWord) -> np.ndarray:
+    """Dense matrix of ``b`` for the type ``(d, k, m)`` operator ``r`` with
+    inverse ``inv``. Generator ``i`` acts on the ``k`` factors from
+    ``m (i - 1)`` of ``k + m (n - 2)``, ``n`` the strand count; the first
+    letter acts first, so the word maps to its letters' product read right
+    to left."""
+    factors = k + m * (b.strands - 2)
     out = np.eye(d**factors, dtype=complex)
-    for g in letters:
+    for g in b.letters:
         first = m * (abs(g) - 1)
         mat = np.kron(np.kron(np.eye(d**first), r if g > 0 else inv), np.eye(d ** (factors - first - k)))
         out = mat @ out
-    return complex(np.trace(out))
+    return out
+
+
+def _dense_trace(r: np.ndarray, inv: np.ndarray, d: int, k: int, m: int, b: BraidWord) -> complex:
+    return complex(np.trace(kron_representation(r, inv, d, k, m, b)))
 
 
 def markov_ratios(r, d: int, k: int, m: int, b: BraidWord, floor: float = 1e-9):
@@ -201,7 +210,7 @@ def markov_ratios(r, d: int, k: int, m: int, b: BraidWord, floor: float = 1e-9):
     r = np.asarray(r, dtype=complex)
     inv = np.linalg.inv(r)
     n = b.strands
-    base = _dense_trace(r, inv, d, k, m, n, b.letters)
+    base = _dense_trace(r, inv, d, k, m, b)
     if abs(base) < floor:
         return None
-    return tuple(_dense_trace(r, inv, d, k, m, n + 1, b.letters + (s * n,)) / base for s in (1, -1))
+    return tuple(_dense_trace(r, inv, d, k, m, BraidWord(n + 1, b.letters + (s * n,))) / base for s in (1, -1))

@@ -8,7 +8,7 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 import pytest
-from oracles import tensordot_contract
+from oracles import kron_representation, tensordot_contract
 
 from gyblink.braids import BraidWord, conjugate, juxtapose, parse_braid, random_braid, stabilize
 from gyblink.enhancement import catalog_enhancement
@@ -135,8 +135,14 @@ def _sweep_words(n, rng):
         yield BraidWord(n, (i, i + 2, -i, i + 2, i, -(i + 2), i))
 
 
+def _dense(ctx, b):
+    # the np.kron oracle for the context's operator, with its stored inverse
+    g = ctx.op.gtype
+    return kron_representation(ctx.op.r, ctx.op.r_inv, g.d, g.k, g.m, b)
+
+
 def _dense_trace(ctx, b, blocks):
-    dense = dense_representation(ctx, b)
+    dense = _dense(ctx, b)
     return np.trace(dense if blocks is None else dense @ reduce(np.kron, [mat for mat, _ in blocks]))
 
 
@@ -173,6 +179,26 @@ def test_sweep_matches_dense_trace(name, theta):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (ctx.n, b, blocks is None)
         cases += 1
     assert cases >= 40
+
+
+def test_raw_traces_do_not_depend_on_theta(monkeypatch):
+    # under the identity weight the raw type1, type2 and type3 traces are the
+    # same at every theta: 5 seeded words on each of 3 x 6, 8 x 20, 10 x 40
+    # and 16 x 60 strands x letters, which take both the sweep and the
+    # network. Many of the values are exact zeros, so the tolerance has an
+    # absolute floor. The worst deviation is 2.6e-13 of max(1, |value|) (type3)
+    calls = _counting(monkeypatch, "_sweep", "_contract")
+    thetas = (0.4, 1.1, 2.5, np.pi / 2)
+    ops = {name: [build_operator(name, theta) for theta in thetas] for name in ("type1", "type2", "type3")}
+    rng = np.random.default_rng(47)
+    for n, length in ((3, 6), (8, 20), (10, 40), (16, 60)):
+        words = [random_braid(n, length, rng) for _ in range(5)]
+        for name, family in ops.items():
+            first, *rest = [traces(make_context(op, n), words) for op in family]
+            for values in rest:
+                for got, want in zip(values, first):
+                    assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (name, n, length)
+    assert calls["_sweep"] and calls["_contract"]
 
 
 def _custom_ops():
@@ -467,10 +493,10 @@ def test_word_order_is_first_letter_first():
     op = build_type1(0.9)
     ctx = make_context(op, 3)
     b = parse_braid("1 2", 3)
-    dense = dense_representation(ctx, b)
+    dense = _dense(ctx, b)
     # letter 1 acts first, so the matrix is rho(2) @ rho(1)
-    first = dense_representation(ctx, parse_braid("1", 3))
-    second = dense_representation(ctx, parse_braid("2", 3))
+    first = _dense(ctx, parse_braid("1", 3))
+    second = _dense(ctx, parse_braid("2", 3))
     assert np.allclose(dense, second @ first, atol=1e-13)
 
 
@@ -479,7 +505,7 @@ def test_dense_matches_matrix_free(op):
     for n in (2, 3):
         ctx = make_context(op, n)
         b = random_braid(n, 6, seed=11)
-        dense = dense_representation(ctx, b)
+        dense = _dense(ctx, b)
         for col in range(ctx.dim):
             e = np.zeros(ctx.dim)
             e[col] = 1.0
@@ -510,7 +536,7 @@ def test_trace_matches_dense():
         b = random_braid(3, 5, seed=13)
         w = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         blocks = [(w, 1)] * ctx.factors
-        dense = dense_representation(ctx, b)
+        dense = _dense(ctx, b)
         full = np.eye(1, dtype=np.complex128)
         for _ in range(ctx.factors):
             full = np.kron(full, w)
@@ -586,7 +612,7 @@ def test_sweep_and_network_match_dense(op):
     for n in (2, 3, 4, 5):
         ctx = make_context(op, n)
         b = random_braid(n, 6, seed=n)
-        dense = dense_representation(ctx, b)
+        dense = _dense(ctx, b)
         mu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         defect = rng.normal(size=(2 ** (g.k - g.m),) * 2) + 1j * rng.normal(size=(2 ** (g.k - g.m),) * 2)
         for blocks in (None, [(mu, 1)] * ctx.factors, [(mu, 1)] * (g.m * (n - 1)) + [(defect, g.k - g.m)]):
@@ -772,8 +798,8 @@ class _Compared:
 def test_least_rotation_matches_brute_force():
     # the least r whose rotation seq[r:] + seq[:r] is least, as min over all
     # rotations finds it: random, periodic, length-1 and all-equal sequences.
-    # On 8001 elements Booth's algorithm makes at most 6 comparisons per
-    # element, where a quadratic search would make millions
+    # On 8001 elements the two-pointer scan makes at most 6 comparisons per
+    # element (1.0-1.5 on these), where a quadratic search would make millions
     def least(seq):
         return min(range(len(seq)), key=lambda r: seq[r:] + seq[:r])
 
@@ -1157,6 +1183,22 @@ def test_sweep_runs_shared_leading_blocks_once(monkeypatch):
     calls = _counting(monkeypatch, "_apply_block", "_sweep")
     assert traces(ctx, pair) == alone
     assert calls == Counter(_apply_block=len(first) + 1, _sweep=2)
+    # the identity on every factor but a defect on the last k - m, as
+    # sampled_perpendicularity pads it, leaves one weight block, which leads
+    # each list: words that start on different generators share only that
+    # block, and the sweep applies it once
+    g = ctx.op.gtype
+    defect = np.random.default_rng(31).normal(size=(g.d ** (g.k - g.m),) * 2)
+    pad = [(np.eye(g.d), 1)] * (ctx.factors - g.k + g.m) + [(defect, g.k - g.m)]
+    words = [BraidWord(5, letters) for letters in ((1, 2, 3, 4), (2, 1, 4, 3), (-4, 3, -2, 1))]
+    placed = _place_blocks(ctx, pad)
+    lists = [placed + _fuse(ctx, w) for w in words]
+    assert len(placed) == 1 and len({(id(blocks[1][0]), blocks[1][1]) for blocks in lists}) == len(words)
+    assert len({frozenset(_moved_factors(blocks)) for blocks in lists}) == 1
+    alone = [trace_with_weight(ctx, w, pad) for w in words]
+    calls.clear()
+    assert traces(ctx, words, pad) == alone
+    assert calls == Counter(_apply_block=1 + sum(len(blocks) - 1 for blocks in lists), _sweep=len(words))
 
 
 def test_refusals_in_a_family_come_in_word_order(monkeypatch):
@@ -1206,10 +1248,11 @@ def test_refusals_in_a_family_come_in_word_order(monkeypatch):
     assert str(family.value) == str(alone.value)
 
 
-def test_sweep_keeps_no_more_states_than_words(monkeypatch):
+def test_sweep_keeps_at_most_two_states(monkeypatch):
     # the states _apply_block returns, followed through weak references: at
-    # each call no more are alive than the call has words, though a family
-    # that branches keeps several alive at once
+    # each call at most two are alive, the shared leading run's and one
+    # list's own, however many words the family has; a family that shares a
+    # leading run and then runs a list's own blocks keeps both
     rng = np.random.default_rng(41)
     states, peak = [], 0
 
@@ -1232,9 +1275,9 @@ def test_sweep_keeps_no_more_states_than_words(monkeypatch):
             states.clear()
             peak = 0
             traces(ctx, words, blocks)
-            assert peak <= len(words)
+            assert peak <= 2
             most = max(most, peak)
-    assert most >= 3
+    assert most == 2
 
 
 def _lone_split_union(ctx):

@@ -129,6 +129,8 @@ def skein_check(s: Enhancement, b: BraidWord, x: complex = 1.0, y: complex = 1.0
     The three braids differ by a first-generator letter put in front of
     ``b``, so their closures form a crossing triple at that site.
     """
+    if x == 0:
+        raise GybError("the skein coefficient x is 0, so its inverse is undefined")
     if b.strands < 2:
         raise ShapeError("a crossing triple needs at least 2 strands")
     tp, tm, t0 = _invariant_values(s, [_with_front_letter(b, 1), _with_front_letter(b, -1), b])

@@ -405,11 +405,16 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, bytes]:
 
     Every label sits on two tensors, as ``_network`` leaves them, so a
     tensor's open legs are a bitmask and merging two tensors keeps the
-    symmetric difference. Only tensors that share a leg are candidates; the
-    greedy cost is ``size(out) - size(a) - size(b)`` with ties broken on the
-    smaller, then the larger tensor id, so the order, and with it the
-    floating-point result, is fixed. Merged tensors take the next id after
-    the inputs, with ``a``'s free legs and then ``b``'s, each in its order.
+    symmetric difference. One table, ``ends``, holds the ids of the two
+    tensors each label joins. A merge drops its shared labels from it and
+    moves the ends of its free legs to the merged tensor, whose neighbours
+    are their far ends; planning stops when no label is left. Only tensors
+    that share a leg are candidates; the greedy cost is
+    ``size(out) - size(a) - size(b)`` with ties broken on the smaller, then
+    the larger tensor id, so the order, and with it the floating-point
+    result, is fixed. Merged tensors take the next id after the inputs, with
+    ``a``'s free legs and then ``b``'s, each in its order; the inputs' legs
+    become ``None``, and a heap entry naming either is stale and skipped.
     Returns the steps as id pairs, the multiply-add count of the whole
     contraction, the element count of its largest tensor and the program
     ``_contract`` runs, packed as bytes. Per step, a code holds the number of
@@ -420,35 +425,28 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, bytes]:
     can hold (``_HOLDABLE``) is never run, and its program is empty: only
     there can an axis or a leg count pass a byte's share.
     """
-    owners, masks = {}, []  # owners: per label, the first tensor id it is on
-    nbrs = [set() for _ in legs]
+    ends, masks = {}, []  # ends: per label, the ids of the two tensors it joins
     for i, ls in enumerate(legs):
         mask = 0
         for x in ls:
             mask |= 1 << x
-            j = owners.setdefault(x, i)
-            if j != i:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
+            ends.setdefault(x, []).append(i)
         masks.append(mask)
 
     # no mask, nor the union of two, has more bits than there are labels
-    power = [d**e for e in range(len(owners) + 1)]
+    power = [d**e for e in range(len(ends) + 1)]
     sizes = [power[mask.bit_count()] for mask in masks]
     flops, peak = 0, max(sizes, default=1)
     heap = [(power[(masks[i] ^ masks[j]).bit_count()] - sizes[i] - sizes[j], i, j)
-            for i, ns in enumerate(nbrs) for j in ns if i < j]
+            for i, j in {tuple(pair) for pair in ends.values()}]
     heapq.heapify(heap)
-    edges = len(heap)  # pairs of tensors that share a leg; every other heap entry is stale
-    used = [False] * len(legs)
-    legs = list(legs)
+    legs = list(legs)  # a merged tensor's legs become None
     steps, program = [], []
     pop, push = heapq.heappop, heapq.heappush
-    while edges:
+    while ends:  # a label not yet contracted joins two live tensors
         _, i, j = pop(heap)
-        if used[i] or used[j]:
+        if legs[i] is None or legs[j] is None:
             continue
-        used[i] = used[j] = True
         flops += power[(masks[i] | masks[j]).bit_count()]
         mask = masks[i] ^ masks[j]
         size = power[mask.bit_count()]
@@ -464,6 +462,7 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, bytes]:
                 order_a.append(n)
                 free.append(x)
             else:
+                del ends[x]
                 shared.append(n)
                 order_b.append(m)
         # a's axes are in dot order when its shared legs come last, b's when
@@ -479,20 +478,18 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, bytes]:
             program += order_b
             program += rest.values()
         free += rest
+        legs[i] = legs[j] = None
         legs.append(free)
         masks.append(mask)
         sizes.append(size)
-        used.append(False)
-        ns = nbrs[i] | nbrs[j]
-        ns.discard(i)
-        ns.discard(j)
-        nbrs.append(ns)
-        edges += len(ns) + 1 - len(nbrs[i]) - len(nbrs[j])
-        for k in ns:
-            near = nbrs[k]
-            near.discard(i)
-            near.discard(j)
-            near.add(c)
+        # each free leg's end on a or b moves to c; the far ends are c's neighbours
+        near = set()
+        for x in free:
+            pair = ends[x]
+            pair.remove(i if i in pair else j)
+            near.add(pair[0])
+            pair.append(c)
+        for k in near:
             push(heap, (power[(masks[k] ^ mask).bit_count()] - sizes[k] - size, k, c))
     return steps, flops, peak, bytes(program) if peak < _HOLDABLE else b""
 

@@ -5,7 +5,9 @@ Kauffman bracket, summing over all ``2^L`` smoothings of an ``L``-letter
 word. It reads nothing from the package but the braid word itself.
 
 ``type2_closed_form`` gives the raw ``type2`` value of a closure from its
-components and linking numbers alone.
+components and linking numbers alone. ``type1_closed_form`` gives the
+unknot-normalized ``type1`` value, the HOMFLY-PT polynomial at
+``(a, z) = (i, i)``, from its components and the Burau matrix over GF(4).
 
 ``homfly`` evaluates the HOMFLY-PT polynomial of a closed braid at one
 point through the Hecke algebra and Ocneanu's trace.
@@ -30,7 +32,7 @@ import itertools
 
 import numpy as np
 
-from gyblink.braids import BraidWord, writhe
+from gyblink.braids import BraidWord, closure_components, writhe
 
 
 def bracket(b: BraidWord, a: complex) -> complex:
@@ -112,6 +114,47 @@ def type2_closed_form(b: BraidWord) -> int:
     if any(total % 4 for total in twice_linking.values()):
         return 0
     return 2 ** (len(twice_linking) + 1)
+
+
+# GF(4) = {0, 1, w, w^2} as 0, 1, 2, 3: addition is XOR, w^2 = w + 1
+_GF4_TIMES = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]], dtype=np.uint8)
+_GF4_INVERSE = np.array([0, 1, 3, 2], dtype=np.uint8)
+
+
+def _gf4_rank(m: np.ndarray) -> int:
+    m = m.copy()
+    rank = 0
+    for col in range(m.shape[1]):
+        pivots = np.flatnonzero(m[rank:, col]) + rank
+        if not pivots.size:
+            continue
+        m[[rank, pivots[0]]] = m[[pivots[0], rank]]
+        m[rank] = _GF4_TIMES[_GF4_INVERSE[m[rank, col]], m[rank]]
+        below = pivots[1:]
+        m[below] ^= _GF4_TIMES[m[below, col][:, None], m[rank]]
+        rank += 1
+    return rank
+
+
+def type1_closed_form(b: BraidWord) -> int:
+    """Unknot-normalized ``type1`` value of the closure of ``b``, the
+    HOMFLY-PT polynomial at ``(a, z) = (i, i)``: ``(-1)^(c-1) (-2)^(k-1)``
+    for its ``c`` components, where ``k = n - rank(B - I)`` over GF(4).
+
+    ``B`` is the product of the word's unreduced Burau matrices at
+    ``t = w``, ``w^2 = w + 1``: ``sigma_i`` acts on rows ``i`` and ``i + 1``
+    as ``[[w^2, w], [1, 0]]`` and ``sigma_i^-1`` as ``[[0, 1], [w^2, w]]``.
+    In characteristic 2, ``B - I`` is ``B + I``.
+    """
+    w, w2 = 2, 3
+    burau = np.eye(b.strands, dtype=np.uint8)
+    for g in b.letters:
+        i = abs(g) - 1
+        top, bottom = burau[i].copy(), burau[i + 1].copy()
+        mixed = _GF4_TIMES[w2, top] ^ _GF4_TIMES[w, bottom]
+        burau[i], burau[i + 1] = (mixed, top) if g > 0 else (bottom, mixed)
+    k = b.strands - _gf4_rank(burau ^ np.eye(b.strands, dtype=np.uint8))
+    return (-1) ** (closure_components(b) - 1) * (-2) ** (k - 1)
 
 
 def _times_t(element: dict, i: int, z: complex) -> dict:

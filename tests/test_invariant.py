@@ -164,6 +164,17 @@ def test_skein_needs_two_strands():
         skein_check(s, unlink(1))
 
 
+def test_skein_rejects_a_zero_x_before_tracing(monkeypatch):
+    # x^-1 weighs T(-crossing); x = 0 is refused with one line, not a
+    # ZeroDivisionError after three traces
+    monkeypatch.setattr("gyblink.invariant.traces", lambda *args: pytest.fail("a trace was taken"))
+    s = catalog_enhancement("type1", 0.6)
+    for x in (0, 0.0, 0j):
+        with pytest.raises(GybError, match="skein coefficient x is 0") as caught:
+            skein_check(s, TREFOIL, x, 1.0)
+        assert "\n" not in str(caught.value)
+
+
 def test_quartic_relation_type2():
     s = catalog_enhancement("type2", 0.9)
     for b in (parse_braid("1", 2), TREFOIL, FIGURE8, random_braid(4, 6, seed=4)):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import bracket, homfly, jones, markov_ratios, type2_closed_form
+from oracles import bracket, homfly, jones, markov_ratios, type1_closed_form, type2_closed_form
 
 from gyblink.braids import LINKS, BraidWord, closure_components, random_braid, stabilize
 from gyblink.enhancement import catalog_enhancement
@@ -103,6 +103,27 @@ def test_type2_closed_form_of_small_closures():
     values = {name: type2_closed_form(LINKS[name].braid) for name in names}
     assert values == {"unknot": 4, "hopf+": 0, "hopf-": 0, "trefoil": 4, "unlink3": 16}
     assert type2_closed_form(BraidWord(2, (1, 1, 1, 1))) == 8
+
+
+def test_type1_closed_form_is_homfly_at_i_i():
+    # P(i, i) from the Burau matrix over GF(4) against the Hecke algebra
+    rng = np.random.default_rng(30)
+    words = [link.braid for link in LINKS.values()]
+    words += [random_braid(int(rng.integers(1, 7)), int(rng.integers(0, 9)), rng) for _ in range(300)]
+    for b in words:
+        want = homfly(b, 1j, 1j)
+        assert abs(type1_closed_form(b) - want) <= 1e-12 * max(1.0, abs(want)), b
+
+
+def test_type1_invariant_is_the_closed_form_on_wide_words():
+    # sizes homfly cannot reach; every one of these words evaluates under
+    # the cap, so a refusal fails the test
+    s = catalog_enhancement("type1", 0.9)
+    rng = np.random.default_rng(30)
+    for _ in range(500):
+        b = random_braid(int(rng.integers(8, 65)), int(rng.integers(10, 41)), rng)
+        got = normalized_invariant(s, b).value
+        assert abs(got - type1_closed_form(b)) <= 1e-12 * max(1.0, abs(got)), b
 
 
 def _words(max_strands, max_len):

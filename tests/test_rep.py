@@ -904,17 +904,25 @@ def test_greedy_plans_are_pinned():
     # change to it moves values; plans are integers, so the digest is the
     # same on every platform. The unfused networks, one tensor per letter,
     # pin the planner itself; the fused ones pin the networks traces run,
-    # the word read open (weighted traces) and closed (the identity weight)
-    digests = {}
+    # the word read open (weighted traces) and closed (the identity weight).
+    # The second digest of each takes the whole output, the byte program
+    # _contract runs included
+    digests, programs = {}, {}
     for name, blocks_of in (("_letters", _letters), ("_fuse", _fuse), ("cyclic _fuse", partial(_fuse, cyclic=True))):
-        plans = [_greedy_plan(_network(ctx.op.gtype.d, ctx.factors, _layout(blocks))[1], ctx.op.gtype.d)[:3]
-                 for ctx, blocks in _seeded_networks(300, 41, blocks_of)]
-        assert sum(len(steps) for steps, _, _ in plans) > 3000
-        digests[name] = hashlib.sha256(repr(plans).encode()).hexdigest()
+        outputs = [_greedy_plan(_network(ctx.op.gtype.d, ctx.factors, _layout(blocks))[1], ctx.op.gtype.d)
+                   for ctx, blocks in _seeded_networks(300, 41, blocks_of)]
+        assert sum(len(steps) for steps, *_ in outputs) > 3000
+        digests[name] = hashlib.sha256(repr([out[:3] for out in outputs]).encode()).hexdigest()
+        programs[name] = hashlib.sha256(repr(outputs).encode()).hexdigest()
     assert digests == {
         "_letters": "cd5f2010c4e1e81ac86411a47ae56ff49e377bd1cab8b369fe3a726c7aa0f0f3",
         "_fuse": "3dfa99b35ac1f780bb29595c577b3ab4b32754ffb0795e28a9e96ae9fc0936d8",
         "cyclic _fuse": "065d6d6d74537bae61381984e3363388f6742afe0a85bc76608d8813d5aa72b5",
+    }
+    assert programs == {
+        "_letters": "4b3b06a7702f9468fa67833e8b2767af211cab0aa058e1296ccd4c8ec61a7e83",
+        "_fuse": "4e11f70d81eb8b78850c7253388d2d9f599aada26f549e53284f82ab5b4d8cfd",
+        "cyclic _fuse": "ee55019959635b21ac655f9b8abff328e7268f4aea80c993166240a48fcb89cc",
     }
 
 

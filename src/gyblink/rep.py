@@ -38,15 +38,19 @@ chosen per call from the list and the context alone:
 * the network path treats each block as a tensor, closes each factor's
   wire onto itself (a block alone on a factor is traced over it) and
   contracts the network pairwise in a greedy order.
-  Each pairwise step transposes and reshapes both tensors to matrices for
-  one ``np.dot``, as ``np.tensordot`` would, in its floating-point order,
-  skipping a transpose whose order is the identity. Its cost follows the
-  plan's largest intermediates, not ``dim^2``, so it reaches words on
-  dozens of strands. Under the identity weight the trace is cyclic in the
-  blocks too, so their network is planned from the least rotation of their
-  positions (a two-pointer scan): every rotation of a word that fuses to a
-  rotation of one layout shares that layout's plan and gives its bits. The
-  value moves only by rounding, against the blocks planned as given.
+  Each pairwise step is one ``np.dot`` of both tensors as matrices, the
+  arrays ``np.tensordot`` makes by transposing and reshaping them, so it
+  runs in its floating-point order: a tensor in dot order is reshaped, one
+  whose axes are only rotated is read as a transposed view, a permuted one
+  of up to ``_GATHER`` elements is gathered through a kept index, and a
+  larger one is transposed and copied. Products stay matrices. Its cost
+  follows the plan's largest intermediates, not ``dim^2``, so it reaches
+  words on dozens of strands. Under the identity weight the trace is
+  cyclic in the blocks too, so their network is planned from the least
+  rotation of their positions (a two-pointer scan): every rotation of a
+  word that fuses to a rotation of one layout shares that layout's plan and
+  gives its bits. The value moves only by rounding, against the blocks
+  planned as given.
 
 ``traces`` alone decides size, word by word: of the sweep, the fused
 network (from the least rotation under the identity weight; when that and
@@ -80,11 +84,16 @@ Networks are compiled once per block layout and kept for the life of the
 process, across calls: the legs of a network, the blocks it traces alone
 over their factors, its greedy plan and each step's axis orders follow from
 ``d``, the factor count and the position and span of each block alone,
-which is all ``_network`` is given. A layout found kept skips ``_network``
-and ``_greedy_plan``: its tensors are built from the blocks and the kept
-program makes the calls a fresh plan would, on the same arrays in the same
-order, so values do not change. The ``_PLANS_KEPT`` most recently used
-layouts are kept.
+which is all ``_network`` is given. The plan's byte program is decoded once
+into the steps ``_contract`` runs: per step, the two tensors and, for each,
+the numpy call that makes it a matrix with that call's argument, a shape or
+a gather index that every kept plan permuting an operand alike shares. A
+layout found kept skips ``_network``, ``_greedy_plan`` and the decoding:
+its tensors come from the blocks, an operator power's (and its forms traced
+alone over factors) kept with the power, and the kept steps hand ``np.dot``
+the arrays a fresh plan would, in the same order, so values do not change.
+The ``_PLANS_KEPT`` most recently used layouts are kept; an index lives as
+long as a kept plan uses it.
 
 Word order: the first letter of a word acts first on states, so a word
 maps to the composition of its letters read right to left.
@@ -130,13 +139,37 @@ PEAK_CAP = 1 << 22
 #: word's rotations planned at one least rotation; keeping 256, 512, 1024
 #: and 4096 of them served 62-63, 91, 94 and 94 % of their plans (two
 #: seeds). Planned as given, the same ops met about 3950 layouts, and 4096
-#: served 63-64 %. An entry (key, steps, program, traced blocks, loop factor,
-#: multiply-adds, peak and the cache's own link) holds about 1016 bytes
-#: (tracemalloc), 4.2 MB at this bound.
+#: served 63-64 %. An entry (key, traced blocks, decoded steps, loop factor,
+#: multiply-adds, peak and the cache's own link) holds about 2390 bytes with
+#: its share of the gather indices: clearing 747 entries after 28000 ops
+#: freed 1.79 MB (tracemalloc), 9.8 MB at this bound if no index were shared.
 _PLANS_KEPT = 4096
 
-# per operator, its powers r^e by exponent e, filled as words need them
+# per operator, its powers r^e and their tensors (_powers), filled as words
+# need them
 _POWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+#: Operands of at most this many elements that a step permutes into a copy
+#: are gathered through a kept flat index (``_fetch``) instead of transposed
+#: and copied. On a 2-CPU x86-64 host ``take`` cost 0.46, 0.43 and 0.66 us at
+#: 16, 64 and 256 elements against 0.81, 1.49 and 2.04 us, and 1.55 against
+#: 4.0 us at 1024. The indices are kept with the plans, so memory sets the
+#: bound: after 28000 ``wide-trace`` benchmark ops (747 kept plans) the
+#: process held 1.65 MB more than with plans kept as byte programs, with
+#: intp indices up to 64 elements and uint8 ones above, 2.84 MB with intp
+#: for all and 1.50 MB with uint8 for all (tracemalloc), for a mean op 16,
+#: 19 and 14 % faster (``take`` casts a uint8 index on every call). Gathering
+#: nothing held 2.34 MB more, as each copied operand keeps its own axis
+#: order, and was 8 % faster.
+_GATHER = 256
+
+# per (axis order, matrix shape), the gather index of the kept steps that
+# use it; an index no kept plan holds is dropped
+_INDICES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+# one copy of each shape tuple the kept steps use; they are few, as every
+# axis has length d and no plan with an array numpy cannot hold is decoded
+_SHAPES: dict = {}
 
 # a step's code in a _greedy_plan program: its shared-leg count, and whether
 # a's and b's axes are permuted before the dot
@@ -240,11 +273,29 @@ def _letters(ctx: RepContext, b: BraidWord) -> list[list]:
     return [[op.r if g > 0 else op.r_inv, t.m * (abs(g) - 1) + 1, t.k, op.moved] for g in b.letters]
 
 
-def _powers(op: GybOperator) -> dict[int, np.ndarray]:
-    powers = _POWERS.get(op)
-    if powers is None:
-        powers = _POWERS[op] = {1: op.r, -1: op.r_inv}
-    return powers
+def _powers(op: GybOperator) -> tuple[dict, dict]:
+    # op's powers r^e by exponent e, and per power's id its tensor and a dict
+    # of that tensor traced alone over factors, by the subscripts it is
+    # traced with
+    kept = _POWERS.get(op)
+    if kept is None:
+        kept = _POWERS[op] = {}, {}
+        for e in (1, -1):
+            _power(op, kept, e)
+    return kept
+
+
+def _power(op: GybOperator, kept, e: int) -> np.ndarray:
+    # r^e from kept, made and kept first if it is not there yet. The dict of
+    # powers holds each one for the life of op, so its id names it in the
+    # dict of forms; a power two threads made at once is kept once
+    powers, forms = kept
+    mat = powers.get(e)
+    if mat is None:
+        mat = op.r if e == 1 else op.r_inv if e == -1 else np.linalg.matrix_power(op.r if e > 0 else op.r_inv, abs(e))
+        mat = powers.setdefault(e, mat)
+        forms[id(mat)] = np.ascontiguousarray(mat).reshape((op.gtype.d,) * 2 * op.gtype.k), {}
+    return mat
 
 
 def _fuse(ctx: RepContext, b: BraidWord, cyclic: bool = False) -> list[list]:
@@ -292,14 +343,15 @@ def _fuse(ctx: RepContext, b: BraidWord, cyclic: bool = False) -> list[list]:
                 first[0] = 0
                 if not stack[-1][0]:
                     todo += range(i - reach, i + reach + 1)
-    groups = [group for group in groups if group[0]]
-    powers = _powers(op)
+    kept = _powers(op)
+    powers = kept[0]
     blocks = []
     for e, i in groups:
-        mat = powers.get(e)
-        if mat is None:
-            mat = powers[e] = np.linalg.matrix_power(op.r if e > 0 else op.r_inv, abs(e))
-        blocks.append([mat, t.m * (i - reach - 1) + 1, t.k, op.moved])
+        if e:
+            mat = powers.get(e)
+            if mat is None:
+                mat = _power(op, kept, e)
+            blocks.append([mat, t.m * (i - reach - 1) + 1, t.k, op.moved])
     return blocks
 
 
@@ -392,11 +444,20 @@ def _network(d: int, factors: int, layout):
     return tuple(traced), legs, d**loops
 
 
-def _tensors(d: int, blocks, traced) -> list[np.ndarray]:
-    # one tensor per block, output axes first, traced as _network says
-    tensors = [mat.reshape((d,) * 2 * span) for mat, _, span, _ in blocks]
+def _tensors(d: int, blocks, traced, forms: dict) -> list[np.ndarray]:
+    # one tensor per block, output axes first and C-ordered, as _fetch
+    # assumes, traced as _network says; an operator power's tensor and its
+    # traced forms come from forms (_powers), made once and kept with it
+    tensors = [np.ascontiguousarray(mat).reshape((d,) * 2 * span) if (form := forms.get(id(mat))) is None else form[0]
+               for mat, _, span, _ in blocks]
     for i, ins, once in traced:
-        tensors[i] = np.einsum(tensors[i], list(ins), list(once))
+        form = forms.get(id(blocks[i][0]))
+        lone = None if form is None else form[1].get(ins)
+        if lone is None:
+            lone = np.einsum(tensors[i], list(ins), list(once))
+            if form is not None:
+                form[1][ins] = lone
+        tensors[i] = lone
     return tensors
 
 
@@ -417,7 +478,7 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, bytes]:
     become ``None``, and a heap entry naming either is stale and skipped.
     Returns the steps as id pairs, the multiply-add count of the whole
     contraction, the element count of its largest tensor and the program
-    ``_contract`` runs, packed as bytes. Per step, a code holds the number of
+    ``_decode`` reads, packed as bytes. Per step, a code holds the number of
     shared legs, with ``_PERMUTE_A`` when ``a``'s axes must be put in dot
     order (its free legs, then the shared ones) and ``_PERMUTE_B`` when
     ``b``'s must (the shared legs in ``a``'s order, then its free ones); the
@@ -494,63 +555,122 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, bytes]:
     return steps, flops, peak, bytes(program) if peak < _HOLDABLE else b""
 
 
-def _contract(tensors, steps, program: bytes, loop_factor) -> complex:
-    # Execute a plan from _greedy_plan on tensors from _tensors. Each step is
-    # the transpose, reshape and np.dot that np.tensordot would run on the
-    # shared legs, in the same floating-point order, without its overhead; a
-    # transpose the plan found to be the identity is skipped, which hands
-    # np.dot the same arrays. What no step merges is a tensor with no legs
-    # left, a factor of the value.
-    tensors = list(tensors)
-    at = 0
+def _permuted(a: np.ndarray, how) -> np.ndarray:
+    # a's axes put in dot order and folded to a matrix, as np.tensordot does
+    shape, order, matrix = how
+    return a.reshape(shape).transpose(order).reshape(matrix)
+
+
+def _transposed(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    # the transpose of a read as a matrix of the given shape, a view
+    return a.reshape(shape).T
+
+
+def _fetch(d: int, rank: int, order: bytes | None, matrix: tuple[int, int]):
+    # How _contract gets one operand, a C-ordered tensor of ``rank`` axes, as
+    # the matrix ``matrix``: (function, argument), run as function(tensor,
+    # argument). Each gives the array np.tensordot's transpose and reshape
+    # give, the same values in the same strides, so np.dot runs as it would:
+    # * axes in dot order (no ``order``): a reshape, a view;
+    # * axes rotated, the last ``rank - c`` first (c the first axis of
+    #   ``order``), split where they meet: a view, the transpose of the
+    #   tensor read as a d^c by d^(rank - c) matrix. For a C-ordered tensor
+    #   no other order folds to a view;
+    # * any other order of at most _GATHER elements: a copy, gathered through
+    #   the kept flat index of the permuted copy, shared by plans
+    #   (_INDICES);
+    # * larger: a copy made by transposing and reshaping.
+    # The size is checked before anything is allocated, so decoding a plan
+    # over the cap makes no large array.
+    matrix = _SHAPES.setdefault(matrix, matrix)
+    if order is None:
+        return np.ndarray.reshape, matrix
+    c, size = order[0], d**rank
+    if d ** (rank - c) == matrix[0] and order == bytes([*range(c, rank), *range(c)]):
+        return _transposed, _SHAPES.setdefault(matrix[::-1], matrix[::-1])
+    shape = (d,) * rank
+    how = _SHAPES.setdefault(shape, shape), order, matrix
+    if size > _GATHER:
+        return _permuted, how
+    index = _INDICES.get((order, matrix))
+    if index is None:
+        # take casts an index of another dtype than intp on every call,
+        # about 0.3 us, so only the larger ones are narrowed to uint8
+        flat = np.arange(size, dtype=np.intp if size <= _GATHER // 4 else np.uint8)
+        index = _INDICES.setdefault((order, matrix), _permuted(flat, how).copy())
+    return np.ndarray.take, index
+
+
+def _decode(d: int, legs, steps, program: bytes) -> tuple:
+    """The steps ``_contract`` runs for a plan from ``_greedy_plan`` over a
+    network with the given legs, flat: per step, the ids of its tensors and,
+    for each, the function and argument ``_fetch`` gives. A plan whose
+    program is empty is never run and decodes to nothing."""
+    if not program:
+        return ()
+    ranks = [len(ls) for ls in legs]
+    decoded, at = [], 0
     for i, j in steps:
-        a, b = tensors[i], tensors[j]
         code = program[at]
         at += 1
-        if code & _PERMUTE_A:
-            a = a.transpose(tuple(program[at:at + a.ndim]))
-            at += a.ndim
-        if code & _PERMUTE_B:
-            b = b.transpose(tuple(program[at:at + b.ndim]))
-            at += b.ndim
         shared = code & _SHARED
-        d = a.shape[0]  # every axis of every tensor has length d
         k = d**shared
-        tensors.append(np.dot(a.reshape(-1, k), b.reshape(k, -1)).reshape((d,) * (a.ndim + b.ndim - 2 * shared)))
+        decoded += (i, j)
+        for permute, rank, matrix in ((_PERMUTE_A, ranks[i], (d ** (ranks[i] - shared), k)),
+                                      (_PERMUTE_B, ranks[j], (k, d ** (ranks[j] - shared)))):
+            order = None
+            if code & permute:
+                order = program[at:at + rank]
+                at += rank
+            decoded += _fetch(d, rank, order, matrix)
+        ranks.append(ranks[i] + ranks[j] - 2 * shared)
+    return tuple(decoded)
+
+
+def _contract(tensors, steps, loop_factor) -> complex:
+    # Run steps from _decode on tensors from _tensors. Each step is one
+    # np.dot of its two operands as matrices, as np.tensordot would run on
+    # the shared legs, in the same floating-point order, without its
+    # overhead; products stay matrices. What no step merges is a tensor with
+    # no legs left, a factor of the value.
+    tensors = list(tensors)
+    it = iter(steps)
+    for i, j, fetch_a, a, fetch_b, b in zip(it, it, it, it, it, it):
+        tensors.append(np.dot(fetch_a(tensors[i], a), fetch_b(tensors[j], b)))
         tensors[i] = tensors[j] = None
     value = complex(loop_factor)
     for arr in tensors:
         if arr is not None:
-            value *= complex(arr)
+            value *= complex(arr.reshape(()))
     return value
 
 
 @lru_cache(maxsize=_PLANS_KEPT)
-def _compiled(key: bytes) -> tuple[tuple, bytes, bytes, int, int, int]:
-    # The network of one block layout compiled by _network and _greedy_plan,
-    # as (traced blocks, steps packed as flat id pairs, program, loop factor,
-    # multiply-adds, largest array). key: array("I") bytes of d, the factor
-    # count and each block's position and span. array("I") raises rather than
-    # truncate a value of 2^32 or more; positions and tensor ids stay far
-    # below it, since a float overflows at d^1024 and every word's letters are
-    # in memory. lru_cache keeps its entries coherent when threads trace at once
+def _compiled(key: bytes) -> tuple[tuple, tuple, int, int, int]:
+    # The network of one block layout compiled by _network, _greedy_plan and
+    # _decode, as (traced blocks, decoded steps, loop factor, multiply-adds,
+    # largest array). key: array("I") bytes of d, the factor count and each
+    # block's position and span. array("I") raises rather than truncate a
+    # value of 2^32 or more; positions stay far below it, since a float
+    # overflows at d^1024 and every word's letters are in memory. lru_cache
+    # keeps its entries coherent when threads trace at once
     d, factors, *layout = array("I", key)
     traced, legs, loop_factor = _network(d, factors, zip(layout[::2], layout[1::2]))
     steps, flops, peak, program = _greedy_plan(legs, d)
-    return traced, array("I", [i for step in steps for i in step]).tobytes(), program, loop_factor, flops, peak
+    return traced, _decode(d, legs, steps, program), loop_factor, flops, peak
 
 
 def _planned(ctx: RepContext, blocks):
     # (multiply-adds, largest array, evaluation) of the greedy network over
     # blocks. Its layout is compiled once and kept by _compiled; every
-    # evaluation builds the tensors from the blocks and runs the kept program
+    # evaluation builds the tensors from the blocks and runs the kept steps
     d = ctx.op.gtype.d
     key = array("I", [d, ctx.factors, *(x for _, pos, span, _ in blocks for x in (pos, span))]).tobytes()
-    traced, ids, program, loop_factor, flops, peak = _compiled(key)
+    traced, steps, loop_factor, flops, peak = _compiled(key)
+    forms = _powers(ctx.op)[1]
 
     def evaluate():
-        pairs = iter(array("I", ids))
-        return _contract(_tensors(d, blocks, traced), zip(pairs, pairs), program, loop_factor)
+        return _contract(_tensors(d, blocks, traced, forms), steps, loop_factor)
 
     return flops, peak, evaluate
 

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 from functools import lru_cache, partial, reduce
@@ -22,6 +24,7 @@ from gyblink.rep import (
     _apply_block,
     _compiled,
     _contract,
+    _decode,
     _fuse,
     _greedy_plan,
     _least_rotation,
@@ -596,7 +599,7 @@ def _contracted(ctx, blocks):
     d = ctx.op.gtype.d
     traced, legs, loop_factor = _network(d, ctx.factors, _layout(blocks))
     steps, _, _, program = _greedy_plan(legs, d)
-    return _contract(_tensors(d, blocks, traced), steps, program, loop_factor)
+    return _contract(_tensors(d, blocks, traced, {}), _decode(d, legs, steps, program), loop_factor)
 
 
 def _forced_traces(ctx, b, blocks):
@@ -716,6 +719,45 @@ def test_allow_large_runs_the_array_the_refusal_names(monkeypatch):
         trace_with_weight(ctx, b)
     trace_with_weight(ctx, b, allow_large=True)
     assert seen == [len(word)]
+
+
+def test_decoding_a_plan_over_the_cap_allocates_nothing_large():
+    # the two layouts of the word above, whose plans peak at 2^28 and 2^30
+    # elements, are compiled and their steps decoded with under 1 MB
+    # allocated at any time: _fetch checks an operand's size before it makes
+    # any array for it
+    ctx = make_context(build_type1(0.4), 16)
+    word = _fuse(ctx, random_braid(16, 320, seed=52), cyclic=True)
+    for blocks, want in ((_rotated(word), 2**28), (word, 2**30)):
+        tracemalloc.start()
+        try:
+            _, peak, _ = rep._planned(ctx, blocks)
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak == want and used < 2**20
+    assert rep._compiled.cache_info().currsize == 2
+
+
+def test_gather_indices_are_shared_and_dropped_with_their_plans(monkeypatch):
+    # the kept plans of four 40-letter words on 9 strands gather some
+    # operands through one index per axis order and matrix shape: an index
+    # two plans use is one object, and once no plan is kept, the table of
+    # indices is empty
+    gc.collect()  # what earlier tests left in reference cycles
+    compiled = _recording_compiles(monkeypatch, 8)
+    ctx = make_context(OPS[0], 9)
+    for seed in range(4):
+        rep._planned(ctx, _fuse(ctx, random_braid(9, 40, seed=seed), cyclic=True))
+    held = [{id(x): x for x in rep._compiled(key)[1] if isinstance(x, np.ndarray)} for key in compiled]
+    assert len(held) == 4 and all(held)
+    assert any(a.keys() & b.keys() for n, a in enumerate(held) for b in held[n + 1:])
+    distinct = {(x.shape, x.tobytes()) for h in held for x in h.values()}
+    assert len(distinct) == len({k for h in held for k in h}) == len(rep._INDICES)
+    del held
+    rep._compiled.cache_clear()
+    gc.collect()
+    assert len(rep._INDICES) == 0
 
 
 def test_allow_large_keeps_the_path_of_a_word_that_fits(monkeypatch):
@@ -859,13 +901,21 @@ def test_rotated_plan_over_the_cap_falls_back_to_the_blocks_as_given(monkeypatch
     b = random_braid(16, 320, seed=7)
     word = _fuse(ctx, b, cyclic=True)
     assert ctx.dim * 2 ** len(_moved_factors(word)) > PEAK_CAP
-    plans = [_greedy_plan(_network(2, ctx.factors, _layout(blocks))[1], 2) for blocks in (_rotated(word), word)]
+    legs = [_network(2, ctx.factors, _layout(blocks))[1] for blocks in (_rotated(word), word)]
+    plans = [_greedy_plan(ls, 2) for ls in legs]
     assert [peak for _, _, peak, _ in plans] == [2**26, PEAK_CAP]
     seen = []
     monkeypatch.setattr("gyblink.rep._sweep", lambda *args: seen.append("sweep"))
-    monkeypatch.setattr("gyblink.rep._contract", lambda tensors, steps, program, loops: seen.append(program))
+    monkeypatch.setattr("gyblink.rep._contract", lambda tensors, steps, loops: seen.append(_plain(steps)))
     trace_with_weight(ctx, b)
-    assert seen == [plans[1][3]] and plans[0][3] != plans[1][3]
+    decoded = [_plain(_decode(2, ls, steps, program)) for ls, (steps, _, _, program) in zip(legs, plans)]
+    assert seen == [decoded[1]] and decoded[0] != decoded[1]
+
+
+def _plain(steps):
+    # decoded steps with each gather index as its shape and values, so two
+    # decodings compare by value
+    return [(x.shape, x.tolist()) if isinstance(x, np.ndarray) else x for x in steps]
 
 
 @pytest.mark.parametrize("name", ["type1", "type2", "type3", "r232"])
@@ -970,26 +1020,71 @@ def test_lone_blocks_match_dense(monkeypatch):
 
 
 def test_contract_matches_tensordot_exactly():
-    # each step runs the transposes, reshapes and dot np.tensordot would
-    # run, so the values are equal, not merely close
+    # each step hands np.dot the arrays np.tensordot's transposes and
+    # reshapes make, the same values in the same strides, so the values are
+    # equal, not merely close. The networks take every way _fetch has of
+    # getting an operand: a reshape, a transposed view, a gathered copy and a
+    # transposed copy, of a d = 2 and a d = 3 operator
     op = OPS[0]
     mu = np.array([[0.3, 1.1j], [-0.7, 2.0]])
     two = make_context(op, 2)
+    z = np.random.default_rng(43).normal(size=(27, 27, 2)) @ [1, 1j]
+    qutrit = make_context(load_custom(np.linalg.qr(z)[0], GybType(3, 3, 1)), 4)
+    six = make_context(build_r232(), 6)
     cases = list(_seeded_networks(60, 43)) + [
         (two, []),  # no tensor at all
         (two, _place_blocks(two, [(mu, 1)] * 3)),
         (two, _fuse(two, parse_braid("1", 2))),  # one letter, closed onto itself
+        # a weight block in Fortran order, which _tensors copies to C order
+        (two, _place_blocks(two, [(np.asfortranarray(np.kron(mu, mu)), 2), (mu, 1)])
+         + _fuse(two, parse_braid("1 1", 2))),
+        (qutrit, _fuse(qutrit, random_braid(4, 8, seed=43), cyclic=True)),
+        # a wide-trace pool word whose value (512.0000000000007) moves by an
+        # ulp if an operand np.tensordot reads as a view is copied instead
+        (six, _rotated(_fuse(six, BraidWord(6, (-1, -3, -5, 4, -5, -2, -3, -2, -4, 4, 1, -5, -5, 5, -3, -1, 3,
+                                                -2, -5, -2)), cyclic=True))),
     ]
-    traced = 0
+    traced, fetched = 0, Counter()
     for ctx, blocks in cases:
         d = ctx.op.gtype.d
         network = _network(d, ctx.factors, _layout(blocks))
         traced += _traced_wires(ctx, network) > 0
         steps, _, _, program = _greedy_plan(network[1], d)
-        tensors = _tensors(d, blocks, network[0])
+        tensors = _tensors(d, blocks, network[0], {})
+        assert all(t.flags.c_contiguous for t in tensors)  # as _fetch assumes
         want = tensordot_contract((tensors, *network[1:]), steps)
-        assert _contract(tensors, steps, program, network[2]) == want
+        decoded = _decode(d, network[1], steps, program)
+        fetched.update((d, fetch) for fetch in decoded[2::6] + decoded[4::6])
+        assert _contract(tensors, decoded, network[2]) == want
     assert traced >= 3
+    ways = (np.ndarray.reshape, rep._transposed, np.ndarray.take, rep._permuted)
+    assert all(fetched[d, fetch] for d in (2, 3) for fetch in ways), fetched
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_fetch_gives_the_arrays_tensordot_makes(d):
+    # every order of up to 6 axes (d = 3: 5), split at every point: the
+    # matrix _fetch gives holds the values np.tensordot's transpose and
+    # reshape give a C-ordered tensor, and it is a view, with the same
+    # strides, exactly when theirs is. Only a rotated order folds to a view,
+    # so an operand that is gathered is one they copy
+    import itertools
+
+    for rank in range(1, 7 if d == 2 else 6):
+        tensor = (np.arange(d**rank) * (1 - 2j)).reshape((d,) * rank)
+        for order in itertools.permutations(range(rank)):
+            for cut in range(1, rank + 1):
+                matrix = (d**cut, d ** (rank - cut))
+                want = tensor.transpose(order).reshape(matrix)
+                fetch, arg = rep._fetch(d, rank, None if order == tuple(range(rank)) else bytes(order), matrix)
+                got = fetch(tensor, arg)
+                assert np.array_equal(got, want) and got.shape == want.shape
+                view = np.shares_memory(want, tensor)
+                assert np.shares_memory(got, tensor) == view
+                if view:
+                    assert got.strides == want.strides
+                else:
+                    assert got.flags.c_contiguous and fetch in (np.ndarray.take, rep._permuted)
 
 
 def _counting(monkeypatch, *names):

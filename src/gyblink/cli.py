@@ -18,6 +18,7 @@ with identical seeds produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -327,7 +328,11 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    # the full collections at interpreter exit skip frozen objects, and walking
+    # all that numpy and gyblink made took about a tenth of a short call
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -84,7 +84,7 @@ Networks are compiled once per block layout and kept for the life of the
 process, across calls: the legs of a network, the blocks it traces alone
 over their factors, its greedy plan and each step's axis orders follow from
 ``d``, the factor count and the position and span of each block alone,
-which is all ``_network`` is given. The plan's byte program is decoded once
+which is all ``_network`` is given. The plan's axis orders are decoded once
 into the steps ``_contract`` runs: per step, the two tensors and, for each,
 the numpy call that makes it a matrix with that call's argument, a shape or
 a gather index that every kept plan permuting an operand alike shares. A
@@ -170,10 +170,6 @@ _INDICES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 # one copy of each shape tuple the kept steps use; they are few, as every
 # axis has length d and no plan with an array numpy cannot hold is decoded
 _SHAPES: dict = {}
-
-# a step's code in a _greedy_plan program: its shared-leg count, and whether
-# a's and b's axes are permuted before the dot
-_SHARED, _PERMUTE_A, _PERMUTE_B = 63, 64, 128
 
 # complex elements of the largest array numpy can hold, 2^63 bytes
 _HOLDABLE = 1 << 59
@@ -461,7 +457,7 @@ def _tensors(d: int, blocks, traced, forms: dict) -> list[np.ndarray]:
     return tensors
 
 
-def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, bytes]:
+def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, list[tuple]]:
     """Pairwise contraction order for a network with the given leg labels.
 
     Every label sits on two tensors, as ``_network`` leaves them, so a
@@ -477,14 +473,13 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, bytes]:
     ``a``'s free legs and then ``b``'s, each in its order; the inputs' legs
     become ``None``, and a heap entry naming either is stale and skipped.
     Returns the steps as id pairs, the multiply-add count of the whole
-    contraction, the element count of its largest tensor and the program
-    ``_decode`` reads, packed as bytes. Per step, a code holds the number of
-    shared legs, with ``_PERMUTE_A`` when ``a``'s axes must be put in dot
-    order (its free legs, then the shared ones) and ``_PERMUTE_B`` when
-    ``b``'s must (the shared legs in ``a``'s order, then its free ones); the
-    permutations the code names follow it. A plan with an array no array
-    can hold (``_HOLDABLE``) is never run, and its program is empty: only
-    there can an axis or a leg count pass a byte's share.
+    contraction, the element count of its largest tensor and, per step, the
+    ``(shared, order_a, order_b)`` that ``_decode`` reads: the number of
+    shared legs, the axis order that puts ``a`` in dot order (its free legs,
+    then the shared ones) and the one for ``b`` (the shared legs in ``a``'s
+    order, then its free ones), each None when the axes are in that order
+    already. A plan with an array no array can hold (``_HOLDABLE``) is never
+    run, and it has no orders, so decoding it keeps no huge shape.
     """
     ends, masks = {}, []  # ends: per label, the ids of the two tensors it joins
     for i, ls in enumerate(legs):
@@ -502,7 +497,7 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, bytes]:
             for i, j in {tuple(pair) for pair in ends.values()}]
     heapq.heapify(heap)
     legs = list(legs)  # a merged tensor's legs become None
-    steps, program = [], []
+    steps, orders = [], []
     pop, push = heapq.heappop, heapq.heappush
     while ends:  # a label not yet contracted joins two live tensors
         _, i, j = pop(heap)
@@ -528,16 +523,8 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, bytes]:
                 order_b.append(m)
         # a's axes are in dot order when its shared legs come last, b's when
         # they come first in a's order
-        code, at = len(shared), len(program)
-        program.append(code)
-        if shared[0] != len(order_a):
-            program[at] |= _PERMUTE_A
-            program += order_a
-            program += shared
-        if order_b != list(range(code)):
-            program[at] |= _PERMUTE_B
-            program += order_b
-            program += rest.values()
+        orders.append((len(shared), None if shared[0] == len(order_a) else (*order_a, *shared),
+                       None if order_b == list(range(len(shared))) else (*order_b, *rest.values())))
         free += rest
         legs[i] = legs[j] = None
         legs.append(free)
@@ -552,7 +539,7 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, bytes]:
             pair.append(c)
         for k in near:
             push(heap, (power[(masks[k] ^ mask).bit_count()] - sizes[k] - size, k, c))
-    return steps, flops, peak, bytes(program) if peak < _HOLDABLE else b""
+    return steps, flops, peak, orders if peak < _HOLDABLE else []
 
 
 def _permuted(a: np.ndarray, how) -> np.ndarray:
@@ -566,7 +553,7 @@ def _transposed(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return a.reshape(shape).T
 
 
-def _fetch(d: int, rank: int, order: bytes | None, matrix: tuple[int, int]):
+def _fetch(d: int, rank: int, order: tuple | None, matrix: tuple[int, int]):
     # How _contract gets one operand, a C-ordered tensor of ``rank`` axes, as
     # the matrix ``matrix``: (function, argument), run as function(tensor,
     # argument). Each gives the array np.tensordot's transpose and reshape
@@ -586,9 +573,13 @@ def _fetch(d: int, rank: int, order: bytes | None, matrix: tuple[int, int]):
     if order is None:
         return np.ndarray.reshape, matrix
     c, size = order[0], d**rank
-    if d ** (rank - c) == matrix[0] and order == bytes([*range(c, rank), *range(c)]):
+    if d ** (rank - c) == matrix[0] and order == (*range(c, rank), *range(c)):
         return _transposed, _SHAPES.setdefault(matrix[::-1], matrix[::-1])
     shape = (d,) * rank
+    # kept as bytes, one byte an axis against a tuple's eight: a kept entry
+    # holds about 210 bytes less, its share of the index keys included. An
+    # operand of a decoded plan has fewer than 59 axes, as d >= 2
+    order = bytes(order)
     how = _SHAPES.setdefault(shape, shape), order, matrix
     if size > _GATHER:
         return _permuted, how
@@ -601,28 +592,18 @@ def _fetch(d: int, rank: int, order: bytes | None, matrix: tuple[int, int]):
     return np.ndarray.take, index
 
 
-def _decode(d: int, legs, steps, program: bytes) -> tuple:
+def _decode(d: int, legs, steps, orders) -> tuple:
     """The steps ``_contract`` runs for a plan from ``_greedy_plan`` over a
     network with the given legs, flat: per step, the ids of its tensors and,
-    for each, the function and argument ``_fetch`` gives. A plan whose
-    program is empty is never run and decodes to nothing."""
-    if not program:
-        return ()
+    for each, the function and argument ``_fetch`` gives. A plan with no
+    orders is never run and decodes to nothing."""
     ranks = [len(ls) for ls in legs]
-    decoded, at = [], 0
-    for i, j in steps:
-        code = program[at]
-        at += 1
-        shared = code & _SHARED
+    decoded = []
+    for (i, j), (shared, order_a, order_b) in zip(steps, orders):
         k = d**shared
         decoded += (i, j)
-        for permute, rank, matrix in ((_PERMUTE_A, ranks[i], (d ** (ranks[i] - shared), k)),
-                                      (_PERMUTE_B, ranks[j], (k, d ** (ranks[j] - shared)))):
-            order = None
-            if code & permute:
-                order = program[at:at + rank]
-                at += rank
-            decoded += _fetch(d, rank, order, matrix)
+        decoded += _fetch(d, ranks[i], order_a, (d ** (ranks[i] - shared), k))
+        decoded += _fetch(d, ranks[j], order_b, (k, d ** (ranks[j] - shared)))
         ranks.append(ranks[i] + ranks[j] - 2 * shared)
     return tuple(decoded)
 
@@ -631,12 +612,13 @@ def _contract(tensors, steps, loop_factor) -> complex:
     # Run steps from _decode on tensors from _tensors. Each step is one
     # np.dot of its two operands as matrices, as np.tensordot would run on
     # the shared legs, in the same floating-point order, without its
-    # overhead; products stay matrices. What no step merges is a tensor with
-    # no legs left, a factor of the value.
+    # overhead; the ndarray.dot method skips np.dot's dispatcher. Products
+    # stay matrices. What no step merges is a tensor with no legs left, a
+    # factor of the value.
     tensors = list(tensors)
     it = iter(steps)
     for i, j, fetch_a, a, fetch_b, b in zip(it, it, it, it, it, it):
-        tensors.append(np.dot(fetch_a(tensors[i], a), fetch_b(tensors[j], b)))
+        tensors.append(fetch_a(tensors[i], a).dot(fetch_b(tensors[j], b)))
         tensors[i] = tensors[j] = None
     value = complex(loop_factor)
     for arr in tensors:
@@ -656,8 +638,8 @@ def _compiled(key: bytes) -> tuple[tuple, tuple, int, int, int]:
     # keeps its entries coherent when threads trace at once
     d, factors, *layout = array("I", key)
     traced, legs, loop_factor = _network(d, factors, zip(layout[::2], layout[1::2]))
-    steps, flops, peak, program = _greedy_plan(legs, d)
-    return traced, _decode(d, legs, steps, program), loop_factor, flops, peak
+    steps, flops, peak, orders = _greedy_plan(legs, d)
+    return traced, _decode(d, legs, steps, orders), loop_factor, flops, peak
 
 
 def _planned(ctx: RepContext, blocks):

@@ -207,12 +207,12 @@ def test_peak_cap_exit_codes(capsys, monkeypatch):
 def test_out_of_memory_exits_3(capsys, monkeypatch):
     # an evaluation that runs past the machine's memory, as an --allow-large
     # word can, is refused with exit 3 and one line naming the array size, not
-    # a traceback and exit 1; np.dot is stubbed to fail, nothing large is built
+    # a traceback and exit 1; _contract is stubbed to fail, nothing large is built
     def no_memory(*args):
         raise MemoryError("stub")
 
     word = " ".join(map(str, random_braid(9, 40, seed=5).letters))
-    monkeypatch.setattr("gyblink.rep.np.dot", no_memory)
+    monkeypatch.setattr("gyblink.rep._contract", no_memory)
     code, out, err = run_cli(capsys, "compute", "--operator", "type1", "--braid", word, "--strands", "9", "--allow-large")
     assert code == 3 and out == ""
     assert err.startswith("error: ran out of memory") and "elements" in err and len(err.splitlines()) == 1
@@ -700,3 +700,16 @@ def test_module_entry_point_exit_codes(capsys):
     assert result.returncode == 2 and result.stderr.startswith("error: ")
     result = child("compute", "--operator", "type1", "--braid", "", "--strands", "2000")
     assert result.returncode == 3 and result.stderr.startswith("error: ")
+
+
+def test_run_freezes_the_heap_before_exit():
+    # cli.run() freezes what the call made before it exits, so the
+    # collections at interpreter exit skip it
+    src = str(Path(gyblink.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import gc, sys\nfrom gyblink import cli\n"
+            "sys.argv[1:] = ['compute', '--operator', 'type1', '--braid', 'trefoil']\n"
+            "try:\n    cli.run()\nfinally:\n    print(gc.get_freeze_count())")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.split()[-1]) > 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import bracket, homfly, jones, markov_ratios, type1_closed_form, type2_closed_form
+from oracles import bracket, homfly, jones, jones_at_i, markov_ratios, type1_closed_form, type2_closed_form
 
 from gyblink.braids import LINKS, BraidWord, closure_components, random_braid, stabilize
 from gyblink.enhancement import catalog_enhancement
@@ -124,6 +124,42 @@ def test_type1_invariant_is_the_closed_form_on_wide_words():
         b = random_braid(int(rng.integers(8, 65)), int(rng.integers(10, 41)), rng)
         got = normalized_invariant(s, b).value
         assert abs(got - type1_closed_form(b)) <= 1e-12 * max(1.0, abs(got)), b
+
+
+def _arf_tolerance(b):
+    # the error grows with 2^((c-1)/2), the size of the value of a proper
+    # link, and of the raw terms that cancel to 0 for one not proper; at one
+    # component it is the absolute floor 1e-12
+    return 1e-12 * 2 ** ((closure_components(b) - 1) / 2)
+
+
+def test_jones_at_i_is_the_bracket_value():
+    # the Arf form against the sum over all smoothings, on words that give
+    # 0 (links not proper) and both signs of (-1)^Arf
+    rng = np.random.default_rng(33)
+    words = [link.braid for link in LINKS.values()]
+    words += [random_braid(int(rng.integers(1, 5)), int(rng.integers(0, 11)), rng) for _ in range(200)]
+    signs = set()
+    for b in words:
+        got = jones_at_i(b)
+        assert abs(got - jones(b, A)) <= _arf_tolerance(b), b
+        signs.add(int(np.sign(got)))
+    assert signs == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("name", ["type3", "r232"])
+def test_jones_point_invariants_are_the_arf_form_on_wide_words(name):
+    # sizes the bracket cannot reach; every one of these words evaluates
+    # under the cap, so a refusal fails the test
+    s = catalog_enhancement(name, 0.9) if name == "type3" else catalog_enhancement(name)
+    rng = np.random.default_rng(33)
+    signs = set()
+    for _ in range(500):
+        b = random_braid(int(rng.integers(8, 65)), int(rng.integers(10, 41)), rng)
+        want = jones_at_i(b)
+        assert abs(normalized_invariant(s, b).value - want) <= _arf_tolerance(b), b
+        signs.add(int(np.sign(want)))
+    assert signs == {-1, 0, 1}
 
 
 def _words(max_strands, max_len):

@@ -84,8 +84,8 @@ def test_plan_over_the_cap_takes_the_sweep(monkeypatch):
     b = random_braid(9, 30, seed=23)
 
     def wide_plan(legs, d):
-        steps, flops, _, program = _greedy_plan(legs, d)
-        return steps, flops, PEAK_CAP + 1, program
+        steps, flops, _, orders = _greedy_plan(legs, d)
+        return steps, flops, PEAK_CAP + 1, orders
 
     def refuse(*args):
         raise AssertionError("the network path ran")
@@ -418,8 +418,8 @@ def test_sweep_arrays_hold_dim_times_moved_labels(monkeypatch):
         return _apply_block(mat, start, state, d)
 
     def wide_plan(legs, d):
-        steps, flops, _, program = _greedy_plan(legs, d)
-        return steps, flops, PEAK_CAP + 1, program
+        steps, flops, _, orders = _greedy_plan(legs, d)
+        return steps, flops, PEAK_CAP + 1, orders
 
     def refuse(*args):
         raise AssertionError("the network path ran")
@@ -598,8 +598,8 @@ def _contracted(ctx, blocks):
     # the greedy network over blocks, planned afresh, bypassing the kept plans
     d = ctx.op.gtype.d
     traced, legs, loop_factor = _network(d, ctx.factors, _layout(blocks))
-    steps, _, _, program = _greedy_plan(legs, d)
-    return _contract(_tensors(d, blocks, traced, {}), _decode(d, legs, steps, program), loop_factor)
+    steps, _, _, orders = _greedy_plan(legs, d)
+    return _contract(_tensors(d, blocks, traced, {}), _decode(d, legs, steps, orders), loop_factor)
 
 
 def _forced_traces(ctx, b, blocks):
@@ -908,7 +908,7 @@ def test_rotated_plan_over_the_cap_falls_back_to_the_blocks_as_given(monkeypatch
     monkeypatch.setattr("gyblink.rep._sweep", lambda *args: seen.append("sweep"))
     monkeypatch.setattr("gyblink.rep._contract", lambda tensors, steps, loops: seen.append(_plain(steps)))
     trace_with_weight(ctx, b)
-    decoded = [_plain(_decode(2, ls, steps, program)) for ls, (steps, _, _, program) in zip(legs, plans)]
+    decoded = [_plain(_decode(2, ls, steps, orders)) for ls, (steps, _, _, orders) in zip(legs, plans)]
     assert seen == [decoded[1]] and decoded[0] != decoded[1]
 
 
@@ -955,24 +955,24 @@ def test_greedy_plans_are_pinned():
     # same on every platform. The unfused networks, one tensor per letter,
     # pin the planner itself; the fused ones pin the networks traces run,
     # the word read open (weighted traces) and closed (the identity weight).
-    # The second digest of each takes the whole output, the byte program
-    # _contract runs included
-    digests, programs = {}, {}
+    # The second digest of each takes the whole output, each step's axis
+    # orders that _decode reads included
+    digests, wholes = {}, {}
     for name, blocks_of in (("_letters", _letters), ("_fuse", _fuse), ("cyclic _fuse", partial(_fuse, cyclic=True))):
         outputs = [_greedy_plan(_network(ctx.op.gtype.d, ctx.factors, _layout(blocks))[1], ctx.op.gtype.d)
                    for ctx, blocks in _seeded_networks(300, 41, blocks_of)]
         assert sum(len(steps) for steps, *_ in outputs) > 3000
         digests[name] = hashlib.sha256(repr([out[:3] for out in outputs]).encode()).hexdigest()
-        programs[name] = hashlib.sha256(repr(outputs).encode()).hexdigest()
+        wholes[name] = hashlib.sha256(repr(outputs).encode()).hexdigest()
     assert digests == {
         "_letters": "cd5f2010c4e1e81ac86411a47ae56ff49e377bd1cab8b369fe3a726c7aa0f0f3",
         "_fuse": "3dfa99b35ac1f780bb29595c577b3ab4b32754ffb0795e28a9e96ae9fc0936d8",
         "cyclic _fuse": "065d6d6d74537bae61381984e3363388f6742afe0a85bc76608d8813d5aa72b5",
     }
-    assert programs == {
-        "_letters": "4b3b06a7702f9468fa67833e8b2767af211cab0aa058e1296ccd4c8ec61a7e83",
-        "_fuse": "4e11f70d81eb8b78850c7253388d2d9f599aada26f549e53284f82ab5b4d8cfd",
-        "cyclic _fuse": "ee55019959635b21ac655f9b8abff328e7268f4aea80c993166240a48fcb89cc",
+    assert wholes == {
+        "_letters": "2a8abfd838e1e344492da625b674498e26f5847a6df3df29c45bc4b627c2dae1",
+        "_fuse": "e426bd67715307c3d204c876514e3388b425998eaf7dff891831373ef42db050",
+        "cyclic _fuse": "339cf4b192701589c8cbe9acfebd5e227afc24be7ca594fff0adac749d93dd61",
     }
 
 
@@ -1049,11 +1049,11 @@ def test_contract_matches_tensordot_exactly():
         d = ctx.op.gtype.d
         network = _network(d, ctx.factors, _layout(blocks))
         traced += _traced_wires(ctx, network) > 0
-        steps, _, _, program = _greedy_plan(network[1], d)
+        steps, _, _, orders = _greedy_plan(network[1], d)
         tensors = _tensors(d, blocks, network[0], {})
         assert all(t.flags.c_contiguous for t in tensors)  # as _fetch assumes
         want = tensordot_contract((tensors, *network[1:]), steps)
-        decoded = _decode(d, network[1], steps, program)
+        decoded = _decode(d, network[1], steps, orders)
         fetched.update((d, fetch) for fetch in decoded[2::6] + decoded[4::6])
         assert _contract(tensors, decoded, network[2]) == want
     assert traced >= 3
@@ -1076,7 +1076,7 @@ def test_fetch_gives_the_arrays_tensordot_makes(d):
             for cut in range(1, rank + 1):
                 matrix = (d**cut, d ** (rank - cut))
                 want = tensor.transpose(order).reshape(matrix)
-                fetch, arg = rep._fetch(d, rank, None if order == tuple(range(rank)) else bytes(order), matrix)
+                fetch, arg = rep._fetch(d, rank, None if order == tuple(range(rank)) else order, matrix)
                 got = fetch(tensor, arg)
                 assert np.array_equal(got, want) and got.shape == want.shape
                 view = np.shares_memory(want, tensor)
@@ -1392,7 +1392,7 @@ def _lone_split_union(ctx):
 
 
 def _program_cases():
-    # (ctx, block list) per kind of kept program: blocks alone on factors,
+    # (ctx, block list) per kind of kept plan: blocks alone on factors,
     # a non-identity mu on every factor, a random d = 3 operator, the letter
     # network the fallback plans and a word whose tensor ids pass 255
     rng = np.random.default_rng(73)
@@ -1415,7 +1415,7 @@ def _program_cases():
 @pytest.mark.parametrize("case", ["lone", "mu", "d3", "letters", "ids"])
 def test_a_kept_program_gives_the_bits_of_a_cold_one(monkeypatch, case):
     # the first evaluation of a layout compiles it; a second reads the kept
-    # program back without _network or _greedy_plan and gives the same bits,
+    # steps back without _network or _greedy_plan and gives the same bits,
     # those of a plan made afresh and contracted
     ctx, blocks = _program_cases()[case]
     traced, legs, _ = _network(ctx.op.gtype.d, ctx.factors, _layout(blocks))
@@ -1437,7 +1437,7 @@ def test_a_kept_program_gives_the_bits_of_a_cold_one(monkeypatch, case):
 def test_kept_programs_of_the_fallback_and_a_weight_trace_alike(monkeypatch):
     # through trace_with_weight: the letter-network fallback and a weighted
     # trace on the network path give the bits of their cold calls when a
-    # later call finds their programs kept
+    # later call finds their plans kept
     mu = np.diag([1.0, 1.5j])
     cases = [(make_context(build_r232(), 8), random_braid(8, 138, seed=636), None),
              (make_context(OPS[1], 8), random_braid(8, 30, seed=9), [(mu, 1)] * 9)]
@@ -1451,27 +1451,28 @@ def test_kept_programs_of_the_fallback_and_a_weight_trace_alike(monkeypatch):
 
 
 def test_identity_orders_are_not_packed():
-    # a step whose operand's axes are already in dot order packs no
-    # permutation, so _contract skips its transpose; a plan with an array no
-    # array can hold packs nothing at all
-    steps, _, peak, program = _greedy_plan([[0, 1, 2], [1, 2, 3], [3, 0]], 2)
+    # a step whose operand's axes are already in dot order has no order for
+    # it, so _contract skips its transpose; a plan with an array no array can
+    # hold has no orders at all, and decodes to nothing
+    steps, _, peak, orders = _greedy_plan([[0, 1, 2], [1, 2, 3], [3, 0]], 2)
     assert steps == [(0, 1), (2, 3)] and peak == 8
     # (0, 1): a keeps label 0 first, b shares 1 and 2 first; (2, 3): a = [3, 0]
     # shares both legs of b = [0, 3], whose order must be permuted
-    assert program == bytes([2, 2 | 128, 1, 0])
+    assert orders == [(2, None, None), (2, None, (1, 0))]
     wide = list(range(70))
-    assert _greedy_plan([wide, wide], 2)[2:] == (2**70, b"")
+    plan = _greedy_plan([wide, wide], 2)
+    assert plan[2:] == (2**70, []) and _decode(2, [wide, wide], plan[0], plan[3]) == ()
 
 
 def test_evaluations_past_memory_are_refused(monkeypatch):
     # an evaluation whose arrays do not fit in memory raises ResourceCapError
     # naming its largest array, on the network path and on the sweep; nothing
-    # large is allocated, np.dot and np.matmul are stubbed to fail
+    # large is allocated, _contract and np.matmul are stubbed to fail
     def no_memory(*args):
         raise MemoryError("stub")
 
     network = make_context(build_type1(0.3), 9), random_braid(9, 40, seed=5)
-    monkeypatch.setattr("gyblink.rep.np.dot", no_memory)
+    monkeypatch.setattr("gyblink.rep._contract", no_memory)
     with pytest.raises(ResourceCapError, match=r"^ran out of memory .* about 2\^\d+ elements$"):
         trace_with_weight(*network)
     monkeypatch.undo()
@@ -1488,7 +1489,7 @@ def test_allow_large_refuses_an_array_no_array_can_hold(monkeypatch):
     # allow_large". The plan is faked; nothing is evaluated
     def huge_plan(legs, d):
         steps, flops, _, _ = _greedy_plan(legs, d)
-        return steps, flops, rep._HOLDABLE, b""
+        return steps, flops, rep._HOLDABLE, []
 
     monkeypatch.setattr("gyblink.rep._greedy_plan", huge_plan)
     ctx = make_context(build_type1(0.3), 40)

@@ -71,11 +71,9 @@ def _value(s: Enhancement, b: BraidWord, w: int, tr: complex) -> complex:
 def trace_invariant(s: Enhancement, b: BraidWord, allow_large: bool = False) -> InvariantResult:
     """Evaluate the raw invariant of the closure of ``b``.
 
-    The weighted trace comes from ``rep.trace_with_weight``; the ``rep``
-    module docstring describes its three candidates (the column sweep, the
-    fused network and the network of one tensor per letter), the size cap,
-    the ResourceCapError raised past it and what ``allow_large`` runs
-    instead.
+    The weighted trace comes from ``rep.trace_with_weight``; the docstring
+    of ``rep.traces`` states which evaluator it runs, the size cap, the
+    ResourceCapError raised past it and what ``allow_large`` runs instead.
     """
     ctx = make_context(s.op, b.strands)
     tr = trace_with_weight(ctx, b, _weight(s, ctx), allow_large)

@@ -52,20 +52,15 @@ chosen per call from the list and the context alone:
   gives its bits. The value moves only by rounding, against the blocks
   planned as given.
 
-``traces`` alone decides size, word by word: of the sweep, the fused
-network (from the least rotation under the identity weight; when that and
-the sweep are both over the cap, also as given) and, when none of them
-fits, the network of one tensor per letter, the one with the fewest
-multiply-adds whose largest single array fits ``PEAK_CAP`` runs. When none
-fits it raises ResourceCapError naming the smallest largest array among
-them, or with ``allow_large`` runs that evaluator anyway, so that option
-never changes the path of a word that fits. The cap bounds one array, not
-the sum of those alive together, so the sweep's peak memory can reach
-twice the cap, and three times it in a family of sweep words, whose shared
-state stays alive beside each word's own. A strand count whose dimension
-overflows a float, and a word whose smallest largest array no array can
-hold (``_HOLDABLE``), are refused whatever ``allow_large`` says; an
-evaluation that runs out of memory raises ResourceCapError too.
+``traces`` alone decides size, word by word: its docstring states which
+evaluators a word may plan, which one runs and when the word is refused
+against ``PEAK_CAP``, the size of the largest single array. The cap bounds
+one array, not the sum of those alive together, so the sweep's peak memory
+can reach twice the cap, and three times it in a family of sweep words,
+whose shared state stays alive beside each word's own. A strand count whose
+dimension overflows a float, and a word whose smallest largest array no
+array can hold (``_HOLDABLE``), are refused whatever ``allow_large`` says;
+an evaluation that runs out of memory raises ResourceCapError too.
 
 Both are deterministic: the sweep is one fixed sequence of array
 operations and the plan breaks cost ties on tensor ids, so one word
@@ -700,11 +695,24 @@ def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> li
     refusal, whatever its word's place. What the words share is done once,
     as the module docstring describes. Network plans come from the
     per-layout plans kept across calls, so a family and its words alone
-    share them too. An identity-weight network is planned at the least
-    rotation of its block layout, so the rotations of a word share one
-    plan; when that plan and the sweep are both over the cap, the blocks as
-    given are the fallback, before the network of the letters. A weighted
-    trace plans its blocks in the order they act.
+    share them too.
+
+    Each word runs the column sweep or one of a chain of networks, planned
+    in this order: the fused blocks from the least rotation of their
+    layout, the fused blocks as given, and one tensor per letter. The first
+    is planned when the sweep costs ``SWEEP_GATE`` multiply-adds or more or
+    is over ``PEAK_CAP``, and each later one only while every candidate so
+    far is over the cap, since the greedy plan of a rotation or of the
+    letters can peak lower but planning them for every word costs too
+    much. Under the identity weight the rotations of a word share the first
+    plan; a weighted trace is not cyclic, so its first network is its
+    blocks as given, and the second repeats that kept plan. Of the
+    candidates, the one with the fewest multiply-adds whose largest array
+    fits the cap runs, ties to the earlier. When none fits, the word is
+    refused with ResourceCapError naming the smallest largest array among
+    them, or with ``allow_large`` that candidate runs, so that option never
+    changes the path of a word that fits. The letters are a word's own
+    network: a later word that fuses alike is evaluated anew.
     """
     for b in words:
         if b.strands != ctx.n:
@@ -726,31 +734,28 @@ def traces(ctx: RepContext, words, blocks=None, allow_large: bool = False) -> li
         moved = _moved_factors(fused)
         sweep_peak = ctx.dim * d ** len(moved)
         sweep_cost = sweep_peak * (1 + sum(d**span for _, _, span, _ in fused))
-        evaluate = None  # the sweep
+        # (multiply-adds, largest array, evaluation): the sweep, whose evaluation is None, then the
+        # networks of the chain in the docstring, the letters' blocks named by None
+        candidates = [(sweep_cost, sweep_peak, None)]
         if sweep_cost >= SWEEP_GATE or sweep_peak > PEAK_CAP:
-            # (multiply-adds, largest array, evaluation), ties to the first. Under the identity
-            # weight the trace is cyclic, so the fused blocks are planned from the least rotation
-            # of their positions, which the rotations of a word share. The blocks as given, and
-            # then the letter network, can plan a lower peak; planning them for every word costs
-            # too much
             r = 0 if placed else _least_rotation([pos for _, pos, _, _ in fused])
-            candidates = [(sweep_cost, sweep_peak, None), _planned(ctx, fused[r:] + fused[:r])]
-            if r and all(peak > PEAK_CAP for _, peak, _ in candidates):
-                candidates.append(_planned(ctx, fused))
-            if all(peak > PEAK_CAP for _, peak, _ in candidates):
+            for net in (fused[r:] + fused[:r], fused, None):
+                if len(candidates) > 1 and any(peak <= PEAK_CAP for _, peak, _ in candidates):
+                    break
+                candidates.append(_planned(ctx, placed + _letters(ctx, b) if net is None else net))
+            else:
                 # the letters are this word's own: a later word that fuses alike evaluates its own
-                candidates.append(_planned(ctx, placed + _letters(ctx, b)))
                 del same[key]
-            # under the cap the fewest multiply-adds; over it the smallest largest array
-            _, peak, evaluate = min(candidates, key=lambda c: (max(c[1], PEAK_CAP), c[0]))
-            if peak > PEAK_CAP and (not allow_large or peak >= _HOLDABLE):
-                raise ResourceCapError(
-                    f"a {len(b)}-letter word on {ctx.n} strands needs an array of about "
-                    f"2^{peak.bit_length() - 1} elements, " + (
-                        "more than any array can hold" if peak >= _HOLDABLE else
-                        f"over the cap of 2^{PEAK_CAP.bit_length() - 1}; "
-                        "pass allow_large=True (CLI: --allow-large) to override")
-                )
+        # under the cap the fewest multiply-adds; over it the smallest largest array; ties to the first
+        _, peak, evaluate = min(candidates, key=lambda c: (max(c[1], PEAK_CAP), c[0]))
+        if peak > PEAK_CAP and (not allow_large or peak >= _HOLDABLE):
+            raise ResourceCapError(
+                f"a {len(b)}-letter word on {ctx.n} strands needs an array of about "
+                f"2^{peak.bit_length() - 1} elements, " + (
+                    "more than any array can hold" if peak >= _HOLDABLE else
+                    f"over the cap of 2^{PEAK_CAP.bit_length() - 1}; "
+                    "pass allow_large=True (CLI: --allow-large) to override")
+            )
         if evaluate is not None:
             values[n] = _in_memory(evaluate, peak)
         else:
@@ -777,11 +782,8 @@ def trace_with_weight(ctx: RepContext, b: BraidWord, blocks=None, allow_large: b
             None means the identity weight. Blocks that equal the identity
             are skipped.
         allow_large: where no evaluator fits ``PEAK_CAP``, run the one
-            whose largest array is smallest, the one the refusal names,
-            instead of raising ResourceCapError. Otherwise the cheapest that
-            fits runs: the sweep, the fused network (from the least
-            rotation of its layout under the identity weight, then as
-            given) or, when none fits, the network of the letters.
+            the refusal names instead of raising ResourceCapError, as
+            ``traces`` states.
 
     Returns:
         ``tr(rho(b) . W)`` where ``W`` is the Kronecker product of the blocks.

@@ -912,6 +912,39 @@ def test_rotated_plan_over_the_cap_falls_back_to_the_blocks_as_given(monkeypatch
     assert seen == [decoded[1]] and decoded[0] != decoded[1]
 
 
+def test_networks_are_planned_only_while_every_candidate_is_over_the_cap(monkeypatch):
+    # the fused network from its least rotation is planned only for a word
+    # whose sweep is gated or over the cap, and each later network (the fused
+    # blocks as given, then one tensor per letter) only while every candidate
+    # so far is over PEAK_CAP. _sweep and _contract are stubbed, so nothing
+    # large runs; _network counts the layouts each word compiles: none under
+    # SWEEP_GATE, one where the first plan fits, two where only the blocks as
+    # given fit (2^26, then 2^22), three where only the letters do (2^24,
+    # 2^24, then 2^22), and two for a weighted word over a lowered cap, whose
+    # blocks as given repeat the first layout and compile nothing
+    monkeypatch.setattr("gyblink.rep._sweep", lambda ctx, lists, moved: [0j] * len(lists))
+    monkeypatch.setattr("gyblink.rep._contract", lambda *args: 0j)
+    calls = _counting(monkeypatch, "_network")
+    type1 = build_type1(0.3)
+    cases = [
+        (make_context(type1, 4), random_braid(4, 10, seed=1), None, 0),
+        (make_context(type1, 9), random_braid(9, 40, seed=5), None, 1),
+        (make_context(type1, 16), random_braid(16, 320, seed=7), None, 2),
+        (make_context(build_r232(), 8), random_braid(8, 138, seed=636), None, 3),
+    ]
+    for ctx, b, blocks, want in cases:
+        rep._compiled.cache_clear()
+        calls.clear()
+        trace_with_weight(ctx, b, blocks)
+        assert calls["_network"] == want, (ctx.n, len(b))
+    ctx = make_context(type1, 4)
+    monkeypatch.setattr("gyblink.rep.PEAK_CAP", 16)
+    rep._compiled.cache_clear()
+    calls.clear()
+    trace_with_weight(ctx, random_braid(4, 10, seed=1), [(np.diag([1.0, 2.0]), 1)] * ctx.factors, allow_large=True)
+    assert calls["_network"] == 2
+
+
 def _plain(steps):
     # decoded steps with each gather index as its shape and values, so two
     # decodings compare by value

@@ -315,8 +315,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else list(argv)))
     with warnings.catch_warnings(), np.errstate(all="ignore"):
-        # one line per warning, without the library's file and source line;
-        # numpy's floating-point warnings stay off: a non-finite result is an error
+        # one line per warning, without the library's file and source line,
+        # shown once per place under any filter the caller set (an "error"
+        # filter would end the call with a traceback); numpy's floating-point
+        # warnings stay off: a non-finite result is an error
+        warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             code, payload, lines = args.func(args)

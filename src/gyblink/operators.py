@@ -178,8 +178,8 @@ class CatalogEntry:
 CATALOG: dict[str, CatalogEntry] = {
     "type1": CatalogEntry(build_type1, np.exp(1j * np.pi / 4), 1.0, 0.25, 1.0),
     "type2": CatalogEntry(build_type2, np.exp(1j * np.pi / 4), 1.0, None, None),
-    "type3": CatalogEntry(build_type3, 1.0, np.sqrt(2.0), 1.0 / (2.0 * _SQ2), _SQ2),
-    "r232": CatalogEntry(lambda theta: build_r232(), 1.0, 2.0 * np.sqrt(2.0), _SQ2, _SQ2),
+    "type3": CatalogEntry(build_type3, 1.0, _SQ2, 1.0 / (2.0 * _SQ2), _SQ2),
+    "r232": CatalogEntry(lambda theta: build_r232(), 1.0, 2.0 * _SQ2, _SQ2, _SQ2),
 }
 
 

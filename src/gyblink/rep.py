@@ -82,13 +82,16 @@ over their factors, its greedy plan and each step's axis orders follow from
 which is all ``_network`` is given. The plan's axis orders are decoded once
 into the steps ``_contract`` runs: per step, the two tensors and, for each,
 the numpy call that makes it a matrix with that call's argument, a shape or
-a gather index that every kept plan permuting an operand alike shares. A
-layout found kept skips ``_network``, ``_greedy_plan`` and the decoding:
-its tensors come from the blocks, an operator power's (and its forms traced
-alone over factors) kept with the power, and the kept steps hand ``np.dot``
-the arrays a fresh plan would, in the same order, so values do not change.
-The ``_PLANS_KEPT`` most recently used layouts are kept; an index lives as
-long as a kept plan uses it.
+a gather index, from ``_fetch``. A layout found kept skips ``_network``,
+``_greedy_plan`` and the decoding: its tensors come from the blocks, an
+operator power's (and its forms traced alone over factors) kept with the
+power, and the kept steps hand ``np.dot`` the arrays a fresh plan would, in
+the same order, so values do not change. The ``_PLANS_KEPT`` most recently
+used layouts are kept, and as many of ``_fetch``'s most recently used
+results, so kept plans that fetch an operand alike share one argument: a
+gather index lives while ``_fetch``'s cache or a kept plan holds it, and a
+layout compiled again finds the indices its dropped plan had, unless the
+cache has dropped them too.
 
 Word order: the first letter of a word acts first on states, so a word
 maps to the composition of its letters read right to left.
@@ -135,9 +138,10 @@ PEAK_CAP = 1 << 22
 #: and 4096 of them served 62-63, 91, 94 and 94 % of their plans (two
 #: seeds). Planned as given, the same ops met about 3950 layouts, and 4096
 #: served 63-64 %. An entry (key, traced blocks, decoded steps, loop factor,
-#: multiply-adds, peak and the cache's own link) holds about 2390 bytes with
-#: its share of the gather indices: clearing 747 entries after 28000 ops
-#: freed 1.79 MB (tracemalloc), 9.8 MB at this bound if no index were shared.
+#: multiply-adds, peak and the cache's own link) holds about 3270 bytes with
+#: its share of ``_fetch``'s cache, which keeps as many results: clearing both
+#: after 11800 ops (688 entries) freed 2.25 MB (tracemalloc), 1.33 MB of it
+#: ``_fetch``'s.
 _PLANS_KEPT = 4096
 
 # per operator, its powers r^e and their tensors (_powers), filled as words
@@ -148,23 +152,16 @@ _POWERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 #: are gathered through a kept flat index (``_fetch``) instead of transposed
 #: and copied. On a 2-CPU x86-64 host ``take`` cost 0.46, 0.43 and 0.66 us at
 #: 16, 64 and 256 elements against 0.81, 1.49 and 2.04 us, and 1.55 against
-#: 4.0 us at 1024. The indices are kept with the plans, so memory sets the
-#: bound: after 28000 ``wide-trace`` benchmark ops (747 kept plans) the
-#: process held 1.65 MB more than with plans kept as byte programs, with
-#: intp indices up to 64 elements and uint8 ones above, 2.84 MB with intp
-#: for all and 1.50 MB with uint8 for all (tracemalloc), for a mean op 16,
-#: 19 and 14 % faster (``take`` casts a uint8 index on every call). Gathering
-#: nothing held 2.34 MB more, as each copied operand keeps its own axis
-#: order, and was 8 % faster.
+#: 4.0 us at 1024. The indices are kept, by ``_fetch``'s cache and the plans
+#: that use them, so memory sets the bound: after 28000 ``wide-trace``
+#: benchmark ops (747 kept plans sharing their indices) the process held
+#: 1.65 MB more than with plans kept as byte programs, with intp indices up
+#: to 64 elements and uint8 ones above, 2.84 MB with intp for all and 1.50 MB
+#: with uint8 for all (tracemalloc), for a mean op 16, 19 and 14 % faster
+#: (``take`` casts a uint8 index on every call). Gathering nothing held
+#: 2.34 MB more, as each copied operand keeps its own axis order, and was 8 %
+#: faster.
 _GATHER = 256
-
-# per (axis order, matrix shape), the gather index of the kept steps that
-# use it; an index no kept plan holds is dropped
-_INDICES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-# one copy of each shape tuple the kept steps use; they are few, as every
-# axis has length d and no plan with an array numpy cannot hold is decoded
-_SHAPES: dict = {}
 
 # complex elements of the largest array numpy can hold, 2^63 bytes
 _HOLDABLE = 1 << 59
@@ -473,8 +470,7 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, list[tu
     shared legs, the axis order that puts ``a`` in dot order (its free legs,
     then the shared ones) and the one for ``b`` (the shared legs in ``a``'s
     order, then its free ones), each None when the axes are in that order
-    already. A plan with an array no array can hold (``_HOLDABLE``) is never
-    run, and it has no orders, so decoding it keeps no huge shape.
+    already.
     """
     ends, masks = {}, []  # ends: per label, the ids of the two tensors it joins
     for i, ls in enumerate(legs):
@@ -534,7 +530,7 @@ def _greedy_plan(legs, d: int) -> tuple[list[tuple[int, int]], int, int, list[tu
             pair.append(c)
         for k in near:
             push(heap, (power[(masks[k] ^ mask).bit_count()] - sizes[k] - size, k, c))
-    return steps, flops, peak, orders if peak < _HOLDABLE else []
+    return steps, flops, peak, orders
 
 
 def _permuted(a: np.ndarray, how) -> np.ndarray:
@@ -548,6 +544,7 @@ def _transposed(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return a.reshape(shape).T
 
 
+@lru_cache(maxsize=_PLANS_KEPT)
 def _fetch(d: int, rank: int, order: tuple | None, matrix: tuple[int, int]):
     # How _contract gets one operand, a C-ordered tensor of ``rank`` axes, as
     # the matrix ``matrix``: (function, argument), run as function(tensor,
@@ -559,39 +556,29 @@ def _fetch(d: int, rank: int, order: tuple | None, matrix: tuple[int, int]):
     #   tensor read as a d^c by d^(rank - c) matrix. For a C-ordered tensor
     #   no other order folds to a view;
     # * any other order of at most _GATHER elements: a copy, gathered through
-    #   the kept flat index of the permuted copy, shared by plans
-    #   (_INDICES);
+    #   the flat index of the permuted copy;
     # * larger: a copy made by transposing and reshaping.
     # The size is checked before anything is allocated, so decoding a plan
-    # over the cap makes no large array.
-    matrix = _SHAPES.setdefault(matrix, matrix)
+    # over the cap makes no large array. Kept plans that make the same call
+    # share its result, gather index included, through the cache
     if order is None:
         return np.ndarray.reshape, matrix
     c, size = order[0], d**rank
     if d ** (rank - c) == matrix[0] and order == (*range(c, rank), *range(c)):
-        return _transposed, _SHAPES.setdefault(matrix[::-1], matrix[::-1])
-    shape = (d,) * rank
-    # kept as bytes, one byte an axis against a tuple's eight: a kept entry
-    # holds about 210 bytes less, its share of the index keys included. An
-    # operand of a decoded plan has fewer than 59 axes, as d >= 2
-    order = bytes(order)
-    how = _SHAPES.setdefault(shape, shape), order, matrix
+        return _transposed, matrix[::-1]
+    how = (d,) * rank, order, matrix
     if size > _GATHER:
         return _permuted, how
-    index = _INDICES.get((order, matrix))
-    if index is None:
-        # take casts an index of another dtype than intp on every call,
-        # about 0.3 us, so only the larger ones are narrowed to uint8
-        flat = np.arange(size, dtype=np.intp if size <= _GATHER // 4 else np.uint8)
-        index = _INDICES.setdefault((order, matrix), _permuted(flat, how).copy())
-    return np.ndarray.take, index
+    # take casts an index of another dtype than intp on every call, about
+    # 0.3 us, so only the larger ones are narrowed to uint8
+    flat = np.arange(size, dtype=np.intp if size <= _GATHER // 4 else np.uint8)
+    return np.ndarray.take, _permuted(flat, how).copy()
 
 
 def _decode(d: int, legs, steps, orders) -> tuple:
     """The steps ``_contract`` runs for a plan from ``_greedy_plan`` over a
     network with the given legs, flat: per step, the ids of its tensors and,
-    for each, the function and argument ``_fetch`` gives. A plan with no
-    orders is never run and decodes to nothing."""
+    for each, the function and argument ``_fetch`` gives."""
     ranks = [len(ls) for ls in legs]
     decoded = []
     for (i, j), (shared, order_a, order_b) in zip(steps, orders):

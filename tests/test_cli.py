@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,20 @@ def test_theta_warning_for_fixed_operator(capsys):
     )
     assert code == 0
     assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--operator", "type1", "--braid", "trefoil", "--theta", "4"),
+    ("verify", "--operator", "type1", "--theta", "-1"),
+])
+def test_an_error_warnings_filter_still_prints_one_line(capsys, argv):
+    # python -W error or PYTHONWARNINGS=error must not turn the theta warning
+    # into a traceback and exit 1, the code of a failed verification
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err.startswith("warning: theta=") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("operator, extra, warning", [

@@ -742,8 +742,8 @@ def test_decoding_a_plan_over_the_cap_allocates_nothing_large():
 def test_gather_indices_are_shared_and_dropped_with_their_plans(monkeypatch):
     # the kept plans of four 40-letter words on 9 strands gather some
     # operands through one index per axis order and matrix shape: an index
-    # two plans use is one object, and once no plan is kept, the table of
-    # indices is empty
+    # two plans use is one object, and once neither a plan nor _fetch's cache
+    # keeps it, it is freed
     gc.collect()  # what earlier tests left in reference cycles
     compiled = _recording_compiles(monkeypatch, 8)
     ctx = make_context(OPS[0], 9)
@@ -753,11 +753,30 @@ def test_gather_indices_are_shared_and_dropped_with_their_plans(monkeypatch):
     assert len(held) == 4 and all(held)
     assert any(a.keys() & b.keys() for n, a in enumerate(held) for b in held[n + 1:])
     distinct = {(x.shape, x.tobytes()) for h in held for x in h.values()}
-    assert len(distinct) == len({k for h in held for k in h}) == len(rep._INDICES)
+    assert len(distinct) == len({k for h in held for k in h})
+    refs = [weakref.ref(x) for h in held for x in h.values()]
     del held
     rep._compiled.cache_clear()
+    rep._fetch.cache_clear()
     gc.collect()
-    assert len(rep._INDICES) == 0
+    assert all(ref() is None for ref in refs)
+
+
+def test_a_layout_compiled_again_finds_its_gather_indices(monkeypatch):
+    # a layout whose plan was dropped is compiled again with the gather
+    # indices it had, not new ones: _fetch's cache keeps them though no plan
+    # holds them
+    gc.collect()
+    compiled = _recording_compiles(monkeypatch, 8)
+    ctx = make_context(OPS[0], 9)
+    rep._planned(ctx, _fuse(ctx, random_braid(9, 40, seed=0), cyclic=True))
+    refs = [weakref.ref(x) for x in rep._compiled(compiled[0])[1] if isinstance(x, np.ndarray)]
+    assert refs
+    rep._compiled.cache_clear()
+    gc.collect()
+    again = [x for x in rep._compiled(compiled[0])[1] if isinstance(x, np.ndarray)]
+    assert len(compiled) == 2 and len(again) == len(refs)
+    assert all(ref() is x for ref, x in zip(refs, again))
 
 
 def test_allow_large_keeps_the_path_of_a_word_that_fits(monkeypatch):
@@ -1486,7 +1505,7 @@ def test_kept_programs_of_the_fallback_and_a_weight_trace_alike(monkeypatch):
 def test_identity_orders_are_not_packed():
     # a step whose operand's axes are already in dot order has no order for
     # it, so _contract skips its transpose; a plan with an array no array can
-    # hold has no orders at all, and decodes to nothing
+    # hold has its orders too, and decodes to steps that gather nothing
     steps, _, peak, orders = _greedy_plan([[0, 1, 2], [1, 2, 3], [3, 0]], 2)
     assert steps == [(0, 1), (2, 3)] and peak == 8
     # (0, 1): a keeps label 0 first, b shares 1 and 2 first; (2, 3): a = [3, 0]
@@ -1494,7 +1513,8 @@ def test_identity_orders_are_not_packed():
     assert orders == [(2, None, None), (2, None, (1, 0))]
     wide = list(range(70))
     plan = _greedy_plan([wide, wide], 2)
-    assert plan[2:] == (2**70, []) and _decode(2, [wide, wide], plan[0], plan[3]) == ()
+    assert plan[2] == 2**70 and plan[3]
+    assert not any(isinstance(x, np.ndarray) for x in _decode(2, [wide, wide], plan[0], plan[3]))
 
 
 def test_evaluations_past_memory_are_refused(monkeypatch):
@@ -1521,8 +1541,8 @@ def test_allow_large_refuses_an_array_no_array_can_hold(monkeypatch):
     # bytes), allow_large cannot run one: the refusal says so, not "pass
     # allow_large". The plan is faked; nothing is evaluated
     def huge_plan(legs, d):
-        steps, flops, _, _ = _greedy_plan(legs, d)
-        return steps, flops, rep._HOLDABLE, []
+        steps, flops, _, orders = _greedy_plan(legs, d)
+        return steps, flops, rep._HOLDABLE, orders
 
     monkeypatch.setattr("gyblink.rep._greedy_plan", huge_plan)
     ctx = make_context(build_type1(0.3), 40)
